@@ -4,6 +4,7 @@
 
 use std::hint::black_box;
 
+use experiments::RunSpec;
 use fb_bench::Harness;
 use netsim::testutil::{Blaster, CountingSink, RxLog};
 use netsim::{
@@ -261,14 +262,17 @@ fn bench_sharding(h: &Harness) {
     .collect();
     let until = SimTime::from_ms(25);
     // One untimed probe run sizes `elements` with the real event count.
-    let events = experiments::run_fat_tree_sharded(params, &scheme, &specs, until, 3, 1)
-        .expect("1 shard always partitions")
-        .events;
+    let run = |shards: usize| {
+        experiments::run(&RunSpec {
+            shards,
+            ..RunSpec::new(params, &scheme, &specs, until, 3)
+        })
+        .expect("shard counts divide k=16's 16 pods")
+    };
+    let events = run(1).events;
     for shards in [1usize, 2, 4] {
         h.bench(&format!("shard/alltoall_1024h_s{shards}"), events, || {
-            let out = experiments::run_fat_tree_sharded(params, &scheme, &specs, until, 3, shards)
-                .expect("shard counts divide k=16's 16 pods");
-            black_box(out.events)
+            black_box(run(shards).events)
         });
     }
 }
@@ -299,17 +303,14 @@ fn bench_chaos(h: &Harness) {
         fail_at: incident.fail_at,
         bin: SimTime::from_us(50),
     });
+    let faults = |ft: &topology::FatTree| incident.plan(ft);
     let run = |shards: usize| {
-        experiments::run_fat_tree_sharded_faults(
-            params,
-            &scheme,
-            &specs,
-            until,
-            3,
+        experiments::run(&RunSpec {
             shards,
+            faults: Some(&faults),
             slo,
-            |ft| incident.plan(ft),
-        )
+            ..RunSpec::new(params, &scheme, &specs, until, 3)
+        })
         .expect("shard counts divide k=16's 16 pods")
     };
     let events = run(1).events;

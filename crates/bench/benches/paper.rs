@@ -7,7 +7,7 @@
 use std::hint::black_box;
 
 use experiments::schemes::{self, SchemeSpec};
-use experiments::{run_fat_tree, run_testbed, Window};
+use experiments::{run, RunOutput, RunSpec, Topo, Window};
 use fb_bench::Harness;
 use netsim::{DetRng, SimTime, Simulator};
 use topology::{build_fat_tree, FatTreeParams, TestbedParams};
@@ -20,12 +20,26 @@ fn fb() -> SchemeSpec {
     schemes::flowbender(flowbender::Config::default())
 }
 
+/// One single-shard run through the experiments runner.
+fn run_one(spec: RunSpec) -> RunOutput {
+    run(&spec).expect("single-shard spec")
+}
+
 /// Table 1 miniature: 8 x 1 MB ToR-to-ToR flows under FlowBender.
 fn bench_table1(h: &Harness) {
     let params = FatTreeParams::paper();
     let specs = microbench(&params, 8, 1_000_000);
     h.bench("paper/table1_microbench", 0, || {
-        black_box(run_fat_tree(params, &fb(), &specs, SimTime::from_secs(5), 1).events)
+        black_box(
+            run_one(RunSpec::new(
+                params,
+                &fb(),
+                &specs,
+                SimTime::from_secs(5),
+                1,
+            ))
+            .events,
+        )
     });
 }
 
@@ -48,7 +62,7 @@ fn bench_fig3_fig4(h: &Harness) {
         ("paper/fig4_alltoall_tail_ecmp", schemes::ecmp()),
     ] {
         h.bench(name, 0, || {
-            let out = run_fat_tree(params, &scheme, &specs, window.drain_until, 1);
+            let out = run_one(RunSpec::new(params, &scheme, &specs, window.drain_until, 1));
             let s = stats::samples(&out.flows, window.start, window.end);
             let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();
             black_box((stats::mean(&fcts), stats::percentile(&fcts, 0.99)))
@@ -62,7 +76,13 @@ fn bench_fig5(h: &Harness) {
     let mut rng = DetRng::new(1, 2);
     let specs = partition_aggregate(&params, 0.4, 8, 1_000_000, SimTime::from_ms(3), &mut rng);
     h.bench("paper/fig5_incast", 0, || {
-        let out = run_fat_tree(params, &fb(), &specs, SimTime::from_ms(200), 1);
+        let out = run_one(RunSpec::new(
+            params,
+            &fb(),
+            &specs,
+            SimTime::from_ms(200),
+            1,
+        ));
         black_box(stats::avg_job_completion(&out.flows))
     });
 }
@@ -91,13 +111,13 @@ fn bench_fig6_fig7(h: &Harness) {
     ] {
         h.bench(name, 0, || {
             black_box(
-                run_fat_tree(
+                run_one(RunSpec::new(
                     params,
                     &schemes::flowbender(cfg),
                     &specs,
                     SimTime::from_ms(200),
                     1,
-                )
+                ))
                 .events,
             )
         });
@@ -118,7 +138,16 @@ fn bench_fig8(h: &Harness) {
         &mut rng,
     );
     h.bench("paper/fig8_testbed", 0, || {
-        black_box(run_testbed(params.clone(), &fb(), &specs, SimTime::from_ms(300), 1, &[]).events)
+        black_box(
+            run_one(RunSpec::new(
+                params.clone(),
+                &fb(),
+                &specs,
+                SimTime::from_ms(300),
+                1,
+            ))
+            .events,
+        )
     });
 }
 
@@ -137,9 +166,12 @@ fn bench_hotspot(h: &Harness) {
         duration,
         &mut rng,
     );
-    let watch: Vec<(usize, usize)> = (0..params.aggs).map(|a| (0usize, a)).collect();
+    let topo = Topo::Testbed {
+        params: params.clone(),
+        watch_uplinks: (0..params.aggs).map(|a| (0usize, a)).collect(),
+    };
     h.bench("paper/hotspot_decongest", 0, || {
-        let out = run_testbed(params.clone(), &fb(), &specs, duration, 1, &watch);
+        let out = run_one(RunSpec::new(topo.clone(), &fb(), &specs, duration, 1));
         black_box(out.port_stats.iter().map(|p| p.tx_bytes_tcp).sum::<u64>())
     });
 }
@@ -180,13 +212,13 @@ fn bench_ablation(h: &Harness) {
     ] {
         h.bench(name, 0, || {
             black_box(
-                run_fat_tree(
+                run_one(RunSpec::new(
                     params,
                     &schemes::flowbender(cfg),
                     &specs,
                     SimTime::from_ms(200),
                     1,
-                )
+                ))
                 .events,
             )
         });
@@ -220,7 +252,16 @@ fn bench_topo_dep(h: &Harness) {
         &mut rng,
     );
     h.bench("paper/topo_dep_tiny_fabric", 0, || {
-        black_box(run_fat_tree(params, &fb(), &specs, SimTime::from_ms(300), 1).events)
+        black_box(
+            run_one(RunSpec::new(
+                params,
+                &fb(),
+                &specs,
+                SimTime::from_ms(300),
+                1,
+            ))
+            .events,
+        )
     });
 }
 

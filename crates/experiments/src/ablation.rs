@@ -16,7 +16,7 @@ use topology::FatTreeParams;
 use workloads::{all_to_all, FlowSizeDist};
 
 use crate::report::{Opts, Report};
-use crate::scenario::{parallel_map, run_fat_tree, Window};
+use crate::scenario::{self, parallel_map, RunSpec, Window};
 use crate::schemes;
 
 /// A named FlowBender variant.
@@ -91,13 +91,9 @@ pub fn sweep(opts: &Opts) -> Vec<Cell> {
     parallel_map(variants(), |v| {
         let mut rng = netsim::DetRng::new(opts.seed, 0xAB1A);
         let specs = all_to_all(&params, 0.4, duration, &dist, &mut rng);
-        let out = run_fat_tree(
-            params,
-            &schemes::flowbender(v.cfg),
-            &specs,
-            window.drain_until,
-            opts.seed,
-        );
+        let scheme = schemes::flowbender(v.cfg);
+        let spec = RunSpec::new(params, &scheme, &specs, window.drain_until, opts.seed);
+        let out = scenario::run(&spec).expect("single-shard spec");
         let s = samples(&out.flows, window.start, window.end);
         let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();
         let data = out.get(Counter::DataPktsRcvd).max(1);

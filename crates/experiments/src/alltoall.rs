@@ -18,7 +18,7 @@ use stats::{completion_fraction, fmt_ratio, samples, BinSpec, BinStats, FctAccum
 use topology::FatTreeParams;
 
 use crate::report::{Opts, Report};
-use crate::scenario::{sweep_schemes, Window};
+use crate::scenario::{self, sweep_schemes, RunSpec, Window};
 use crate::schemes::{self, SchemeSpec};
 
 /// The paper's evaluated loads (fraction of bisection bandwidth).
@@ -65,10 +65,11 @@ pub fn sweep(opts: &Opts, schemes: &[SchemeSpec], loads: &[f64]) -> Vec<A2AResul
     let window = Window::for_duration(duration, SimTime::from_ms(400));
     let workload = opts.workload_or("websearch");
 
-    sweep_schemes(schemes, loads, |scheme, &load| {
+    sweep_schemes(schemes, loads, 1, |scheme, &load| {
         let mut rng = netsim::DetRng::new(opts.seed, 0xA2A ^ (load * 1000.0) as u64);
         let specs = workload.generate(&params, load, duration, &mut rng);
-        let out = crate::run_fat_tree(params, scheme, &specs, window.drain_until, opts.seed);
+        let spec = RunSpec::new(params, scheme, &specs, window.drain_until, opts.seed);
+        let out = scenario::run(&spec).expect("single-shard spec");
         // First-finisher-wins view: identical to `out.flows` for every
         // non-replicating scheme.
         let flows = out.effective_flows();

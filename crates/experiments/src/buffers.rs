@@ -13,7 +13,7 @@ use topology::FatTreeParams;
 use workloads::{all_to_all, FlowSizeDist};
 
 use crate::report::{Opts, Report};
-use crate::scenario::{run_fat_tree, sweep_schemes, Window};
+use crate::scenario::{self, sweep_schemes, RunSpec, Window};
 use crate::schemes::{self, SchemeSpec};
 
 /// Evaluated per-port buffer capacities (bytes).
@@ -50,7 +50,7 @@ pub fn sweep(opts: &Opts) -> Vec<Cell> {
         schemes::rps(),
     ];
 
-    sweep_schemes(&contenders, &CAPACITIES, |scheme, &capacity| {
+    sweep_schemes(&contenders, &CAPACITIES, 1, |scheme, &capacity| {
         let mut params = FatTreeParams::paper();
         params.fabric_queue = QueueSpec {
             capacity,
@@ -58,7 +58,8 @@ pub fn sweep(opts: &Opts) -> Vec<Cell> {
         };
         let mut rng = netsim::DetRng::new(opts.seed, 0xB0FF);
         let specs = all_to_all(&params, 0.6, duration, &dist, &mut rng);
-        let out = run_fat_tree(params, scheme, &specs, window.drain_until, opts.seed);
+        let spec = RunSpec::new(params, scheme, &specs, window.drain_until, opts.seed);
+        let out = scenario::run(&spec).expect("single-shard spec");
         let s = samples(&out.flows, window.start, window.end);
         let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();
         Cell {

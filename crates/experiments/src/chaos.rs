@@ -30,7 +30,7 @@ use workloads::{FlowSizeDist, PoissonStream};
 
 use crate::fabric_scale::{arity, LOAD};
 use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{run_fat_tree_sharded_faults, RunOutput, Window};
+use crate::scenario::{self, FaultFn, RunOutput, RunSpec, Window};
 use crate::schemes;
 
 /// RNG stream tag for the per-source Poisson streams (distinct from
@@ -190,17 +190,13 @@ fn setup(opts: &Opts) -> Setup {
 /// run outputs `(healthy, chaos)` for JSON export.
 pub fn run_one(opts: &Opts, scheme: &schemes::SchemeSpec) -> (ChaosResult, RunOutput, RunOutput) {
     let s = setup(opts);
-    let run = |plan_fn: &(dyn Fn(&FatTree) -> FaultPlan + Sync)| {
-        run_fat_tree_sharded_faults(
-            s.params,
-            scheme,
-            &s.specs,
-            s.window.drain_until,
-            opts.seed,
-            opts.shards,
-            Some(s.slo),
-            plan_fn,
-        )
+    let run = |faults: &FaultFn<'_>| {
+        scenario::run(&RunSpec {
+            shards: opts.shards,
+            faults: Some(faults),
+            slo: Some(s.slo),
+            ..RunSpec::new(s.params, scheme, &s.specs, s.window.drain_until, opts.seed)
+        })
         .expect("shard plan checked by Opts::check")
     };
     // The healthy run arms the same SLO probe: its goodput bins are the

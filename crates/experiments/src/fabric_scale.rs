@@ -1,6 +1,6 @@
 //! `fabric-scale` — fig3-style all-to-all on a 1024-host k=16 fat-tree,
 //! packet-simulated end to end by the sharded multi-core engine
-//! ([`crate::run_fat_tree_sharded`]).
+//! ([`crate::run`] with `--shards N`).
 //!
 //! This is the run `trace-scale` pointed at: scheme fidelity (real
 //! DCTCP/FlowBender endpoints, real switches) at a fabric size the
@@ -25,7 +25,7 @@ use topology::{FatTreeParams, ShardPlan};
 use workloads::{FlowSizeDist, PoissonStream};
 
 use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{run_fat_tree_sharded, RunOutput, ShardStats, Window};
+use crate::scenario::{self, RunOutput, RunSpec, ShardStats, Window};
 use crate::schemes;
 
 /// Offered load (fraction of edge bandwidth). One point, not a sweep —
@@ -81,14 +81,10 @@ pub fn run_one(opts: &Opts, scheme: &schemes::SchemeSpec) -> (FsResult, RunOutpu
     let stream = PoissonStream::new(&params, LOAD, duration, FlowSizeDist::web_search(), &rng);
     let specs: Vec<netsim::FlowSpec> = stream.collect();
 
-    let out = run_fat_tree_sharded(
-        params,
-        scheme,
-        &specs,
-        window.drain_until,
-        opts.seed,
-        opts.shards,
-    )
+    let out = scenario::run(&RunSpec {
+        shards: opts.shards,
+        ..RunSpec::new(params, scheme, &specs, window.drain_until, opts.seed)
+    })
     .expect("shard plan checked by Opts::check");
 
     // Aggregate the way the workers produce results: each shard sketches

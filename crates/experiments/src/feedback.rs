@@ -9,7 +9,7 @@
 //! early feedback should matter most: incast (deep, short-lived queue
 //! spikes at the fan-in port) and a Zipf hotspot (persistent congestion
 //! on a few downlinks). Runs go through the sharded engine
-//! ([`crate::run_fat_tree_sharded`]), so `--shards N` works; Poisson
+//! ([`crate::run`]), so `--shards N` works; Poisson
 //! workloads (hotspot, websearch, ...) are byte-identical across shard
 //! counts. Incast is the one exception fabric-wide (not feedback-specific):
 //! its *synchronized* workers create exact-timestamp arrival ties, and the
@@ -22,19 +22,17 @@
 //! a timer at the first CN of a congestion window and closes it when the
 //! first ECE-marked ACK of that window arrives ([`Counter::FeedbackLeadPs`]
 //! summed over [`Counter::FeedbackLeadSamples`] windows). With `--trace`
-//! (single-shard), the CN arrivals are cross-checked against the flight
-//! recorder: a traced replay must log exactly [`Counter::CnDelivered`]
-//! `cn_arrive` timeline events, at timestamps consistent with the lead.
+//! (at any shard count), the CN arrivals can be cross-checked against the
+//! flight recorder: a replay tracing every flow logs exactly
+//! [`Counter::CnDelivered`] `cn_arrive` timeline events, at timestamps
+//! consistent with the lead.
 
-use netsim::{Counter, DetRng, FlowTimeline, SimTime, TelemetryConfig, TraceConfig};
+use netsim::{Counter, DetRng, FlowTimeline, SimTime};
 use stats::{completion_fraction, fmt_secs, percentile, samples, Table};
 use topology::FatTreeParams;
 
 use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{
-    run_fat_tree_sharded, run_fat_tree_traced, slowest_flows, sweep_schemes_sharded, RunOutput,
-    Window,
-};
+use crate::scenario::{self, sweep_schemes, RunOutput, RunSpec, Window};
 use crate::schemes::{self, SchemeSpec};
 
 /// Offered load (fraction of edge bandwidth), the fabric-scale operating
@@ -126,14 +124,11 @@ pub fn run_one(opts: &Opts, scheme: &SchemeSpec, wl_slug: &str) -> (FbResult, Ru
     let params = FatTreeParams::k_ary(arity(opts)).expect("arity checked by Opts::check");
     let window = measurement(opts);
     let specs = gen_specs(opts, &params, wl_slug, window);
-    let out = run_fat_tree_sharded(
-        params,
-        scheme,
-        &specs,
-        window.drain_until,
-        opts.seed,
-        opts.shards,
-    )
+    let out = scenario::run(&RunSpec {
+        shards: opts.shards,
+        trace: opts.trace.clone(),
+        ..RunSpec::new(params, scheme, &specs, window.drain_until, opts.seed)
+    })
     .expect("shard plan checked by Opts::check");
 
     let flows = out.effective_flows();
@@ -158,29 +153,6 @@ pub fn run_one(opts: &Opts, scheme: &SchemeSpec, wl_slug: &str) -> (FbResult, Ru
     (digest, out)
 }
 
-/// Replay one cell on the classic engine with the flight recorder on.
-/// Tracing is read-only, so the replay is byte-identical to the sharded
-/// run — callers assert `events` match.
-pub fn run_one_traced(
-    opts: &Opts,
-    scheme: &SchemeSpec,
-    wl_slug: &str,
-    trace: TraceConfig,
-) -> RunOutput {
-    let params = FatTreeParams::k_ary(arity(opts)).expect("arity checked by Opts::check");
-    let window = measurement(opts);
-    let specs = gen_specs(opts, &params, wl_slug, window);
-    run_fat_tree_traced(
-        params,
-        scheme,
-        &specs,
-        window.drain_until,
-        opts.seed,
-        TelemetryConfig::off(),
-        trace,
-    )
-}
-
 /// Total `cn_arrive` events across a traced run's timelines — when every
 /// flow is traced, this must equal [`Counter::CnDelivered`].
 pub fn cn_arrivals_in(timelines: &[FlowTimeline]) -> usize {
@@ -190,10 +162,6 @@ pub fn cn_arrivals_in(timelines: &[FlowTimeline]) -> usize {
 /// Run the feedback experiment and build the report.
 pub fn run(opts: &Opts) -> Report {
     opts.validate();
-    assert!(
-        opts.trace.is_off() || opts.shards == 1,
-        "--trace needs --shards 1: the flight recorder rides the single-threaded engine"
-    );
     let k = arity(opts);
     let params = FatTreeParams::k_ary(k).expect("arity checked by Opts::check");
     let selection = opts.scheme_selection(&default_schemes());
@@ -202,7 +170,7 @@ pub fn run(opts: &Opts) -> Report {
         None => default_workloads(opts),
     };
 
-    let runs = sweep_schemes_sharded(&selection, &wl_slugs, opts.shards, |scheme, wl| {
+    let runs = sweep_schemes(&selection, &wl_slugs, opts.shards, |scheme, wl| {
         run_one(opts, scheme, wl)
     });
 
@@ -223,18 +191,7 @@ pub fn run(opts: &Opts) -> Report {
                 opts.shards,
                 opts.seed
             );
-            // Flight-recorder cross-check of the lead measurement: replay
-            // this cell traced and verify the recorder saw exactly the
-            // CNs the counters claim were delivered.
-            if !opts.trace.is_off() {
-                let cfg = opts.trace.config_with(|n| slowest_flows(&out, n));
-                let traced = run_one_traced(opts, scheme, wl, cfg);
-                assert_eq!(
-                    traced.events, out.events,
-                    "tracing must not perturb the simulation"
-                );
-                report.trace_timelines(label.clone(), traced.results.timelines().to_vec());
-            }
+            report.trace_timelines(label.clone(), out.timelines().to_vec());
             report.run_summary(RunSummary::from_run(
                 label,
                 scheme.name(),
@@ -284,8 +241,9 @@ pub fn run(opts: &Opts) -> Report {
     );
     if !opts.trace.is_off() {
         report.note(
-            "traced replays verified: flight-recorder cn_arrive timelines are \
-             byte-identical to the untraced runs (same event counts)",
+            "flight-recorder timelines (cn_arrive included) come from a read-only \
+             traced replay; slowest=k replays are checked against their untraced \
+             probe run (same event count)",
         );
     }
     report
@@ -420,13 +378,11 @@ mod tests {
         let opts = smoke_opts();
         let (r, out) = run_one(&opts, &schemes::fastcc(), "incast:8");
         assert!(r.cn_delivered > 0);
-        let all: Vec<netsim::FlowId> = (0..r.flows as netsim::FlowId).collect();
-        let traced = run_one_traced(
-            &opts,
-            &schemes::fastcc(),
-            "incast:8",
-            TraceConfig::flows(all),
-        );
+        let traced_opts = Opts {
+            trace: TraceSel::Flows((0..r.flows as netsim::FlowId).collect()),
+            ..opts
+        };
+        let (_, traced) = run_one(&traced_opts, &schemes::fastcc(), "incast:8");
         assert_eq!(traced.events, out.events, "tracing is read-only");
         let timelines = traced.results.timelines();
         assert_eq!(
@@ -447,17 +403,25 @@ mod tests {
         assert!(cn_then_cut, "a CN must precede a later cwnd change");
     }
 
-    /// `--trace` attaches verified timelines to the report.
+    /// `--trace` attaches verified timelines to the report, at one shard
+    /// and at two.
     #[test]
     fn trace_selection_attaches_timelines_to_the_report() {
-        let opts = Opts {
-            trace: TraceSel::Slowest(2),
-            schemes: vec!["fastcc".into()],
-            workload: Some("incast:8".into()),
-            ..smoke_opts()
-        };
-        let r = run(&opts);
-        assert!(!r.traces.is_empty(), "traced run must attach timelines");
-        assert!(r.notes.iter().any(|n| n.contains("cn_arrive")));
+        for shards in [1, 2] {
+            let opts = Opts {
+                trace: TraceSel::Slowest(2),
+                schemes: vec!["fastcc".into()],
+                workload: Some("incast:8".into()),
+                shards,
+                ..smoke_opts()
+            };
+            let r = run(&opts);
+            assert_eq!(
+                r.traces.len(),
+                2,
+                "{shards} shards: two slowest flows traced"
+            );
+            assert!(r.notes.iter().any(|n| n.contains("cn_arrive")));
+        }
     }
 }

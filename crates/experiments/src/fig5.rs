@@ -12,7 +12,7 @@ use topology::FatTreeParams;
 use workloads::Workload;
 
 use crate::report::{Opts, Report};
-use crate::scenario::{run_fat_tree, sweep_schemes, Window};
+use crate::scenario::{self, sweep_schemes, RunSpec, Window};
 use crate::schemes::{self, SchemeSpec};
 
 /// Fan-in degrees from the paper's Figure 5.
@@ -43,10 +43,11 @@ pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<Cell> {
     let duration = opts.scaled(SimTime::from_ms(60));
     let window = Window::for_duration(duration, SimTime::from_ms(400));
 
-    sweep_schemes(schemes, &FAN_INS, |scheme, &fan_in| {
+    sweep_schemes(schemes, &FAN_INS, 1, |scheme, &fan_in| {
         let mut rng = netsim::DetRng::new(opts.seed, 0xF165 ^ fan_in as u64);
         let specs = workloads::patterns::incast(fan_in).generate(&params, 0.4, duration, &mut rng);
-        let out = run_fat_tree(params, scheme, &specs, window.drain_until, opts.seed);
+        let spec = RunSpec::new(params, scheme, &specs, window.drain_until, opts.seed);
+        let out = scenario::run(&spec).expect("single-shard spec");
         // Job completion uses all jobs whose flows all completed; trim
         // cool-down jobs by start time like the FCT window does.
         let in_window: Vec<_> = out
@@ -155,7 +156,8 @@ mod tests {
         let cells = parallel_map(sel, |scheme| {
             let mut rng = netsim::DetRng::new(opts.seed, 0xF165 ^ 4);
             let specs = workloads::patterns::incast(4).generate(&params, 0.4, duration, &mut rng);
-            let out = run_fat_tree(params, &scheme, &specs, window.drain_until, opts.seed);
+            let spec = RunSpec::new(params, &scheme, &specs, window.drain_until, opts.seed);
+            let out = scenario::run(&spec).expect("single-shard spec");
             let in_window: Vec<_> = out
                 .flows
                 .iter()

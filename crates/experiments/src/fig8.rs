@@ -15,7 +15,7 @@ use topology::TestbedParams;
 use workloads::testbed_one_tor;
 
 use crate::report::{Opts, Report};
-use crate::scenario::{run_testbed, sweep_schemes, Window};
+use crate::scenario::{self, sweep_schemes, RunSpec, Window};
 use crate::schemes::{self, SchemeSpec};
 
 /// Loads from the paper.
@@ -45,7 +45,7 @@ pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<Cell> {
     let duration = opts.scaled(SimTime::from_ms(800));
     let window = Window::for_duration(duration, SimTime::from_ms(400));
 
-    sweep_schemes(schemes, &LOADS, |scheme, &load| {
+    sweep_schemes(schemes, &LOADS, 1, |scheme, &load| {
         let mut rng = netsim::DetRng::new(opts.seed, 0xF18 ^ (load * 1000.0) as u64);
         let tor0 = 0..params.servers_per_tor[0];
         let specs = testbed_one_tor(
@@ -57,14 +57,14 @@ pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<Cell> {
             duration,
             &mut rng,
         );
-        let out = run_testbed(
+        let spec = RunSpec::new(
             params.clone(),
             scheme,
             &specs,
             window.drain_until,
             opts.seed,
-            &[],
         );
+        let out = scenario::run(&spec).expect("single-shard spec");
         let flows = out.effective_flows();
         let s = samples(&flows, window.start, window.end);
         let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();
@@ -155,14 +155,15 @@ mod tests {
             duration,
             &mut rng,
         );
-        let out = run_testbed(
+        let scheme = schemes::flowbender(flowbender::Config::default());
+        let spec = RunSpec::new(
             params.clone(),
-            &schemes::flowbender(flowbender::Config::default()),
+            &scheme,
             &specs,
             window.drain_until,
             opts.seed,
-            &[],
         );
+        let out = scenario::run(&spec).expect("single-shard spec");
         let s = samples(&out.flows, window.start, window.end);
         assert!(s.len() > 50, "too few flows: {}", s.len());
         let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();

@@ -14,7 +14,7 @@ use topology::FatTreeParams;
 use workloads::{all_to_all, microbench, FlowSizeDist};
 
 use crate::report::{Opts, Report};
-use crate::scenario::{parallel_map, run_fat_tree, Window};
+use crate::scenario::{self, parallel_map, RunSpec, Window};
 use crate::schemes::{self, SchemeSpec};
 
 /// Flowlet inactivity gaps evaluated (around the ~90 µs fabric RTT).
@@ -63,7 +63,8 @@ pub fn sweep(opts: &Opts) -> Vec<Cell> {
     parallel_map(jobs, |(load, scheme)| {
         let mut rng = netsim::DetRng::new(opts.seed, 0xF10E ^ (load * 1000.0) as u64);
         let specs = all_to_all(&params, load, duration, &dist, &mut rng);
-        let out = run_fat_tree(params, &scheme, &specs, window.drain_until, opts.seed);
+        let spec = RunSpec::new(params, &scheme, &specs, window.drain_until, opts.seed);
+        let out = scenario::run(&spec).expect("single-shard spec");
         let s = samples(&out.flows, window.start, window.end);
         let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();
         Cell {
@@ -113,7 +114,8 @@ pub fn run(opts: &Opts) -> Report {
     let micro = parallel_map(contenders(), |scheme| {
         let params = FatTreeParams::paper();
         let specs = microbench(&params, 16, bytes);
-        let out = run_fat_tree(params, &scheme, &specs, SimTime::from_secs(120), opts.seed);
+        let spec = RunSpec::new(params, &scheme, &specs, SimTime::from_secs(120), opts.seed);
+        let out = scenario::run(&spec).expect("single-shard spec");
         let fcts: Vec<f64> = out
             .flows
             .iter()
@@ -170,13 +172,9 @@ mod tests {
             &FlowSizeDist::web_search(),
             &mut rng,
         );
-        let out = run_fat_tree(
-            params,
-            &schemes::flowlet(SimTime::from_us(100)),
-            &specs,
-            window.drain_until,
-            opts.seed,
-        );
+        let scheme = schemes::flowlet(SimTime::from_us(100));
+        let spec = RunSpec::new(params, &scheme, &specs, window.drain_until, opts.seed);
+        let out = scenario::run(&spec).expect("single-shard spec");
         let done = out.flows.iter().filter(|f| f.fct().is_some()).count();
         assert_eq!(
             done,

@@ -14,15 +14,13 @@
 //! {0.5%, 1%, 2%, 4%} for ECMP and FlowBender. Drop-reason audits in the
 //! JSON summaries localize the gray loss to the faulted egress.
 
-use netsim::{Counter, DropReason, FaultPlan, FlowTimeline, SimTime, TelemetryConfig, TraceConfig};
+use netsim::{Counter, DropReason, FaultPlan, SimTime};
 use stats::{fmt_secs, Table};
-use topology::FatTreeParams;
+use topology::{FatTree, FatTreeParams};
 use workloads::microbench;
 
-use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{
-    parallel_map, run_fat_tree_faults_traced, run_fat_tree_sharded_faults, slowest_flows, RunOutput,
-};
+use crate::report::{Opts, Report, RunSummary, TraceSel};
+use crate::scenario::{self, sweep_schemes, RunOutput, RunSpec};
 use crate::schemes::{self, SchemeSpec};
 
 /// The loss rates swept by the committed experiment.
@@ -49,138 +47,80 @@ pub struct GrayResult {
     pub max_fct_s: f64,
 }
 
-/// Run one scheme against one gray-loss rate.
+/// Run one scheme against one gray-loss rate on `shards` engine threads,
+/// with the flight recorder on for the `trace` selection (the output is
+/// otherwise identical to the untraced run).
+///
+/// This microbenchmark's synchronized flows tie at shared switches, so a
+/// sharded run is a reproducible parallel execution of the same
+/// experiment rather than a byte-replica of `shards == 1` (see
+/// [`scenario::run`] for when byte-identity holds). Errors on shard counts
+/// the paper fabric (4 pods) cannot host.
 pub fn run_scheme(
     scheme: &SchemeSpec,
     loss: f64,
     bytes: u64,
     seed: u64,
-) -> (GrayResult, RunOutput) {
-    run_scheme_traced(scheme, loss, bytes, seed, TraceConfig::off())
-}
-
-/// [`run_scheme`] on the sharded engine (`--shards N` lands here). Fault
-/// injection itself is deterministic across shard counts, but this
-/// microbenchmark's synchronized flows tie at shared switches, so a
-/// sharded run is a reproducible parallel execution of the same
-/// experiment rather than a byte-replica of `shards == 1` (see
-/// [`run_fat_tree_sharded_faults`] for when byte-identity holds). Errors
-/// on shard counts the paper fabric (4 pods) cannot host.
-pub fn run_scheme_sharded(
-    scheme: &SchemeSpec,
-    loss: f64,
-    bytes: u64,
-    seed: u64,
     shards: usize,
+    trace: TraceSel,
 ) -> Result<(GrayResult, RunOutput), String> {
     let params = FatTreeParams::paper();
+    // 16 flows: two per host pair between ToR0/pod0 and ToR0/pod1.
     let specs = microbench(&params, 16, bytes);
-    let out = run_fat_tree_sharded_faults(
-        params,
-        scheme,
-        &specs,
-        SimTime::from_secs(60),
-        seed,
+    let gray = |ft: &FatTree| {
+        // Gray out agg 0 of pod 0's first core uplink: one of the 8
+        // inter-pod paths silently loses packets from the start.
+        let (node, port) = ft.agg_core_link(0, 0);
+        let mut plan = FaultPlan::new();
+        plan.gray_loss(node, port, loss, SimTime::ZERO);
+        plan
+    };
+    let out = scenario::run(&RunSpec {
         shards,
-        None,
-        |ft| {
-            let (node, port) = ft.agg_core_link(0, 0);
-            let mut plan = FaultPlan::new();
-            plan.gray_loss(node, port, loss, SimTime::ZERO);
-            plan
-        },
-    )?;
-    Ok((summarize(scheme, loss, specs.len(), &out), out))
-}
-
-/// Fold one finished run into its table row.
-fn summarize(scheme: &SchemeSpec, loss: f64, flows: usize, out: &RunOutput) -> GrayResult {
+        trace,
+        faults: Some(&gray),
+        ..RunSpec::new(params, scheme, &specs, SimTime::from_secs(60), seed)
+    })?;
     let fcts: Vec<f64> = out
         .flows
         .iter()
         .filter_map(|f| f.fct())
         .map(|t| t.as_secs_f64())
         .collect();
-    GrayResult {
+    let result = GrayResult {
         scheme: scheme.name().to_string(),
         loss,
         completed: fcts.len(),
-        flows,
+        flows: specs.len(),
         timeouts: out.get(Counter::Timeouts),
         timeout_reroutes: out.get(Counter::TimeoutReroutes),
         gray_drops: out.drops().by_reason(DropReason::GrayLoss),
         max_fct_s: fcts.iter().cloned().fold(0.0, f64::max),
-    }
-}
-
-/// [`run_scheme`] with the flight recorder on for selected flows. Apart
-/// from the timelines in `out.results.timelines()`, the output is
-/// byte-identical to the untraced run at the same seed.
-pub fn run_scheme_traced(
-    scheme: &SchemeSpec,
-    loss: f64,
-    bytes: u64,
-    seed: u64,
-    trace: TraceConfig,
-) -> (GrayResult, RunOutput) {
-    let params = FatTreeParams::paper();
-    // 16 flows: two per host pair between ToR0/pod0 and ToR0/pod1.
-    let specs = microbench(&params, 16, bytes);
-    let out = run_fat_tree_faults_traced(
-        params,
-        scheme,
-        &specs,
-        SimTime::from_secs(60),
-        seed,
-        TelemetryConfig::off(),
-        trace,
-        |ft| {
-            // Gray out agg 0 of pod 0's first core uplink: one of the 8
-            // inter-pod paths silently loses packets from the start.
-            let (node, port) = ft.agg_core_link(0, 0);
-            let mut plan = FaultPlan::new();
-            plan.gray_loss(node, port, loss, SimTime::ZERO);
-            plan
-        },
-    );
-    let result = summarize(scheme, loss, specs.len(), &out);
-    (result, out)
+    };
+    Ok((result, out))
 }
 
 /// Produce the report: the sweep table plus one JSON run summary per
 /// `(scheme, loss)` cell (each carrying its per-port drop audit).
 pub fn run(opts: &Opts) -> Report {
     opts.validate();
-    assert!(
-        opts.trace.is_off() || opts.shards == 1,
-        "--trace needs --shards 1: the flight recorder rides the single-threaded engine"
-    );
     let bytes = (10_000_000.0 * opts.scale) as u64;
-    let mut jobs: Vec<(SchemeSpec, f64)> = Vec::new();
-    for &loss in &LOSS_RATES {
-        jobs.push((schemes::ecmp(), loss));
-        jobs.push((schemes::flowbender(flowbender::Config::default()), loss));
-    }
-    let runs = parallel_map(jobs, |(scheme, loss)| {
-        let (r, out) = run_scheme_sharded(&scheme, loss, bytes, opts.seed, opts.shards)
-            .unwrap_or_else(|e| panic!("{e}"));
-        // Flight recorder: resolve the selection against this cell's
-        // finished run (`slowest=k` ranks its own FCTs, incomplete flows
-        // first), then re-run at the same seed with the recorder on. The
-        // traced run is a byte-identical replay — only the timelines are
-        // taken from it.
-        let timelines: Vec<FlowTimeline> = if opts.trace.is_off() {
-            Vec::new()
-        } else {
-            let cfg = opts.trace.config_with(|k| slowest_flows(&out, k));
-            let (_, traced) = run_scheme_traced(&scheme, loss, bytes, opts.seed, cfg);
-            assert_eq!(
-                traced.events, out.events,
-                "tracing must not perturb the simulation"
-            );
-            traced.results.timelines().to_vec()
-        };
-        (r, out, timelines)
+    let contenders = [
+        schemes::ecmp(),
+        schemes::flowbender(flowbender::Config::default()),
+    ];
+    // `--trace slowest=k` ranks each cell's own FCTs (incomplete flows
+    // first) and replays that cell with the recorder on.
+    let runs = sweep_schemes(&contenders, &LOSS_RATES, opts.shards, |scheme, &loss| {
+        run_scheme(
+            scheme,
+            loss,
+            bytes,
+            opts.seed,
+            opts.shards,
+            opts.trace.clone(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
     });
 
     let mut table = Table::new(vec![
@@ -193,7 +133,7 @@ pub fn run(opts: &Opts) -> Report {
         "max FCT",
     ]);
     let mut rep = Report::new("gray_failure");
-    for (r, out, timelines) in &runs {
+    for (r, out) in runs.iter().flatten() {
         table.row(vec![
             format!("{:.1}%", r.loss * 100.0),
             r.scheme.to_string(),
@@ -225,9 +165,7 @@ pub fn run(opts: &Opts) -> Report {
             opts.seed,
             out,
         ));
-        if !timelines.is_empty() {
-            rep.trace_timelines(label, timelines.clone());
-        }
+        rep.trace_timelines(label, out.timelines().to_vec());
     }
     rep.section(
         "Gray failure: one agg->core uplink silently drops packets under 16 cross-pod flows",
@@ -242,17 +180,23 @@ pub fn run(opts: &Opts) -> Report {
 mod tests {
     use super::*;
 
+    fn run_one(
+        scheme: &SchemeSpec,
+        loss: f64,
+        bytes: u64,
+        seed: u64,
+        shards: usize,
+    ) -> (GrayResult, RunOutput) {
+        run_scheme(scheme, loss, bytes, seed, shards, TraceSel::Off).unwrap()
+    }
+
     #[test]
     fn flowbender_escapes_gray_link_ecmp_suffers() {
         let bytes = 3_000_000;
         let loss = 0.04;
-        let (ecmp, ecmp_out) = run_scheme(&schemes::ecmp(), loss, bytes, 11);
-        let (fb, _) = run_scheme(
-            &schemes::flowbender(flowbender::Config::default()),
-            loss,
-            bytes,
-            11,
-        );
+        let (ecmp, ecmp_out) = run_one(&schemes::ecmp(), loss, bytes, 11, 1);
+        let fb_scheme = schemes::flowbender(flowbender::Config::default());
+        let (fb, _) = run_one(&fb_scheme, loss, bytes, 11, 1);
         assert!(ecmp.gray_drops > 0, "the gray link must actually drop");
         assert_eq!(fb.completed, fb.flows, "FlowBender must complete all flows");
         assert!(
@@ -283,21 +227,21 @@ mod tests {
     fn sharded_gray_run_is_audited_and_reproducible() {
         // This microbenchmark's 16 synchronized flows produce same-instant
         // arrival ties at shared switches, whose resolution order is
-        // engine-specific (see `run_fat_tree_sharded_faults`), so shards
+        // engine-specific (see `scenario::run`), so shards
         // > 1 is parallel execution of the same experiment rather than a
         // byte-replica of the classic run. What must hold: the behavioral
         // outcome, the conservation audit, and exact reproducibility at a
         // fixed shard count. (Byte-identity across shard counts is pinned
         // by the Poisson-workload property suite in tests/sharded_faults.)
         let bytes = 500_000;
-        let (a, ao) = run_scheme(&schemes::ecmp(), 0.01, bytes, 7);
+        let (a, ao) = run_one(&schemes::ecmp(), 0.01, bytes, 7, 1);
         for shards in [2, 4] {
-            let (b, bo) = run_scheme_sharded(&schemes::ecmp(), 0.01, bytes, 7, shards).unwrap();
+            let (b, bo) = run_one(&schemes::ecmp(), 0.01, bytes, 7, shards);
             assert_eq!(a.completed, b.completed, "shards={shards}");
             assert_eq!(ao.flows.len(), bo.flows.len(), "shards={shards}");
             assert!(b.gray_drops > 0, "shards={shards}: the gray link drops");
             assert!(bo.conservation.holds(), "shards={shards}");
-            let (b2, bo2) = run_scheme_sharded(&schemes::ecmp(), 0.01, bytes, 7, shards).unwrap();
+            let (b2, bo2) = run_one(&schemes::ecmp(), 0.01, bytes, 7, shards);
             assert_eq!(
                 b.max_fct_s.to_bits(),
                 b2.max_fct_s.to_bits(),
@@ -306,15 +250,15 @@ mod tests {
             assert_eq!(bo.events, bo2.events, "shards={shards}");
             assert_eq!(bo.conservation, bo2.conservation, "shards={shards}");
         }
-        let err = run_scheme_sharded(&schemes::ecmp(), 0.01, bytes, 7, 8).unwrap_err();
+        let err = run_scheme(&schemes::ecmp(), 0.01, bytes, 7, 8, TraceSel::Off).unwrap_err();
         assert!(err.contains("4 pods"), "paper fabric has 4 pods: {err}");
     }
 
     #[test]
     fn same_seed_reproduces_exactly() {
         let bytes = 500_000;
-        let (a, ao) = run_scheme(&schemes::ecmp(), 0.01, bytes, 7);
-        let (b, bo) = run_scheme(&schemes::ecmp(), 0.01, bytes, 7);
+        let (a, ao) = run_one(&schemes::ecmp(), 0.01, bytes, 7, 1);
+        let (b, bo) = run_one(&schemes::ecmp(), 0.01, bytes, 7, 1);
         assert_eq!(a.gray_drops, b.gray_drops);
         assert_eq!(a.timeouts, b.timeouts);
         assert_eq!(a.max_fct_s.to_bits(), b.max_fct_s.to_bits());

@@ -13,7 +13,7 @@ use topology::TestbedParams;
 use workloads::hotspot;
 
 use crate::report::{Opts, Report};
-use crate::scenario::{parallel_map, run_testbed};
+use crate::scenario::{self, parallel_map, RunSpec, Topo};
 use crate::schemes::{self, SchemeSpec};
 
 /// Per-path throughput for one scheme.
@@ -64,9 +64,13 @@ pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<PathLoads> {
             &mut rng,
         );
         debug_assert!(specs.iter().any(|s| s.proto == Proto::Udp));
-        let watch: Vec<(usize, usize)> = (0..params.aggs).map(|a| (0usize, a)).collect();
+        let topo = Topo::Testbed {
+            params: params.clone(),
+            watch_uplinks: (0..params.aggs).map(|a| (0usize, a)).collect(),
+        };
         // No drain: throughput is measured over exactly `duration`.
-        let out = run_testbed(params.clone(), &scheme, &specs, duration, opts.seed, &watch);
+        let spec = RunSpec::new(topo, &scheme, &specs, duration, opts.seed);
+        let out = scenario::run(&spec).expect("single-shard spec");
         let secs = duration.as_secs_f64();
         PathLoads {
             scheme: scheme.name().to_string(),

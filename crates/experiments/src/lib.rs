@@ -31,8 +31,13 @@
 //! Which load-balancing designs exist — and how a new one is added in a
 //! single file — is owned by the [`schemes`] registry; which traffic
 //! patterns exist is owned by the `workloads` crate's registry (selected
-//! with `--workload`); the shared runners and sweep machinery live in
-//! [`scenario`].
+//! with `--workload`). Every simulation goes through one runner:
+//! describe it as a [`RunSpec`] (topology, scheme, flows, window, seed,
+//! plus shards, telemetry, `--trace` selection, faults, and SLO probe)
+//! and call [`run`]. It shards any fat-tree run, resolves
+//! `--trace slowest=k` with a probe run and a traced replay at any shard
+//! count, and audits conservation; [`sweep_schemes`] fans runs out over a
+//! worker pool sized for their shard count. Both live in [`scenario`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -64,10 +69,8 @@ pub mod trace_scale;
 pub use registry::{find, registry, Experiment};
 pub use report::{timeline_json, Opts, Report, RunSummary, TraceSel};
 pub use scenario::{
-    parallel_map, parallel_map_capped, run_fat_tree, run_fat_tree_faults,
-    run_fat_tree_faults_traced, run_fat_tree_sharded, run_fat_tree_sharded_faults,
-    run_fat_tree_traced, run_testbed, slowest_flows, sweep_cap, sweep_schemes,
-    sweep_schemes_sharded, RunOutput, ShardStats, Window,
+    parallel_map, run, run_fat_tree_sharded, slowest_flows, sweep_schemes, FaultFn, RunOutput,
+    RunSpec, ShardStats, Topo, Window,
 };
 pub use schemes::{Replication, SchemeSpec};
 

@@ -11,11 +11,11 @@
 
 use netsim::{Counter, FaultPlan, SimTime};
 use stats::{fmt_secs, Table};
-use topology::FatTreeParams;
+use topology::{FatTree, FatTreeParams};
 use workloads::microbench;
 
 use crate::report::{Opts, Report};
-use crate::scenario::{parallel_map, run_fat_tree_sharded_faults};
+use crate::scenario::{self, parallel_map, RunSpec};
 use crate::schemes::{self, SchemeSpec};
 
 /// Result of one scheme's failure run.
@@ -52,24 +52,19 @@ pub fn run_scheme(
     let params = FatTreeParams::paper();
     // 16 flows: two per host pair between ToR0/pod0 and ToR0/pod1.
     let specs = microbench(&params, 16, bytes);
-    let out = run_fat_tree_sharded_faults(
-        params,
-        scheme,
-        &specs,
-        SimTime::from_secs(60),
-        seed,
+    let kill = |ft: &FatTree| {
+        // Fail agg 0 of pod 0's first core uplink: one of the 8 inter-pod
+        // paths dies. Packets already hashed onto it black-hole.
+        let (node, port) = ft.agg_core_link(0, 0);
+        let mut plan = FaultPlan::new();
+        plan.kill(node, port, fail_at);
+        plan
+    };
+    let out = scenario::run(&RunSpec {
         shards,
-        None,
-        |ft| {
-            // Fail agg 0 of pod 0's first core uplink: one of the 8
-            // inter-pod paths dies. Packets already hashed onto it
-            // black-hole.
-            let (node, port) = ft.agg_core_link(0, 0);
-            let mut plan = FaultPlan::new();
-            plan.kill(node, port, fail_at);
-            plan
-        },
-    )?;
+        faults: Some(&kill),
+        ..RunSpec::new(params, scheme, &specs, SimTime::from_secs(60), seed)
+    })?;
     let fcts: Vec<f64> = out
         .flows
         .iter()

@@ -27,7 +27,7 @@ use stats::{completion_fraction, fmt_secs, percentile, samples, Table};
 use topology::FatTreeParams;
 
 use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{run_fat_tree_sharded, sweep_schemes_sharded, RunOutput, Window};
+use crate::scenario::{self, sweep_schemes, RunOutput, RunSpec, Window};
 use crate::schemes::{self, SchemeSpec};
 
 /// Offered load (fraction of edge bandwidth): enough concurrency that
@@ -118,14 +118,10 @@ pub fn run_one(opts: &Opts, scheme: &SchemeSpec, wl_slug: &str) -> (ReorderResul
     let params = FatTreeParams::k_ary(arity(opts)).expect("arity checked by Opts::check");
     let window = measurement(opts);
     let specs = gen_specs(opts, &params, wl_slug, window);
-    let out = run_fat_tree_sharded(
-        params,
-        scheme,
-        &specs,
-        window.drain_until,
-        opts.seed,
-        opts.shards,
-    )
+    let out = scenario::run(&RunSpec {
+        shards: opts.shards,
+        ..RunSpec::new(params, scheme, &specs, window.drain_until, opts.seed)
+    })
     .expect("shard plan checked by Opts::check");
 
     let flows = out.effective_flows();
@@ -161,7 +157,7 @@ pub fn run(opts: &Opts) -> Report {
         None => default_workloads(),
     };
 
-    let runs = sweep_schemes_sharded(&selection, &wl_slugs, opts.shards, |scheme, wl| {
+    let runs = sweep_schemes(&selection, &wl_slugs, opts.shards, |scheme, wl| {
         run_one(opts, scheme, wl)
     });
 

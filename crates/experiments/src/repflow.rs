@@ -17,7 +17,7 @@ use topology::FatTreeParams;
 use workloads::{all_to_all, FlowSizeDist};
 
 use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{parallel_map, run_fat_tree, Window};
+use crate::scenario::{self, parallel_map, RunSpec, Window};
 use crate::schemes::{self, SchemeSpec};
 
 /// Flows below this size count as "short" in the report tables — the same
@@ -57,7 +57,8 @@ pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<SchemeResult> {
         let mut rng = netsim::DetRng::new(opts.seed, 0x4EBF);
         let specs = all_to_all(&params, 0.4, duration, &dist, &mut rng);
         let primary_bytes: u64 = specs.iter().map(|s| s.bytes).sum();
-        let out = run_fat_tree(params, &scheme, &specs, window.drain_until, opts.seed);
+        let spec = RunSpec::new(params, &scheme, &specs, window.drain_until, opts.seed);
+        let out = scenario::run(&spec).expect("single-shard spec");
         let replica_bytes: u64 = out
             .replicas
             .iter()

@@ -12,8 +12,9 @@ use stats::{Json, Table};
 use crate::scenario::RunOutput;
 
 /// Flight-recorder selection from the CLI (`--trace flow=...` /
-/// `--trace slowest=...`). Experiments that support tracing resolve this
-/// to a [`TraceConfig`] per run; `Off` costs nothing anywhere.
+/// `--trace slowest=...`). Experiments that support tracing pass it on as
+/// [`crate::RunSpec::trace`], and [`crate::run`] resolves it to a
+/// [`TraceConfig`] at any shard count; `Off` costs nothing anywhere.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TraceSel {
     /// Recorder off (the default): no overhead, no timeline files.
@@ -65,8 +66,9 @@ impl TraceSel {
     }
 
     /// Resolve to a [`TraceConfig`]. `slowest` supplies the ranking for
-    /// [`TraceSel::Slowest`] — typically [`crate::scenario::slowest_flows`]
-    /// over an untraced probe run — and is only invoked for that variant.
+    /// [`TraceSel::Slowest`] — [`crate::run`] passes
+    /// [`crate::scenario::slowest_flows`] over an untraced probe run — and
+    /// is only invoked for that variant.
     pub fn config_with(&self, slowest: impl FnOnce(usize) -> Vec<FlowId>) -> TraceConfig {
         match self {
             TraceSel::Off => TraceConfig::off(),
@@ -325,7 +327,7 @@ impl RunSummary {
         // section).
         let counters = Counter::all()
             .iter()
-            .filter(|&&c| !((c.feedback_only() || c.reordering_metric()) && out.get(c) == 0))
+            .filter(|&&c| !(c.omit_while_zero() && out.get(c) == 0))
             .map(|&c| (c.name().to_string(), out.get(c)))
             .collect();
         let fcts: Vec<f64> = out

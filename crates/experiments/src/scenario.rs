@@ -1,25 +1,26 @@
-//! Shared experiment machinery: runners, replication expansion, and
-//! parallel sweeps.
+//! Shared experiment machinery: the one runner, replication expansion,
+//! and parallel sweeps.
 //!
-//! What to run is described by a [`crate::schemes::SchemeSpec`] (fabric +
-//! host sides of one design, see the `schemes` module); this module owns
-//! *how* to run it: building the topology, expanding replicated flows,
-//! installing agents, auditing conservation, and fanning sweeps out over
-//! a bounded worker pool.
+//! What to run is described by a [`RunSpec`]: a topology, a
+//! [`crate::schemes::SchemeSpec`] (fabric + host sides of one design, see
+//! the `schemes` module), a flow list, a window, and a seed, plus shards,
+//! probes, and faults. [`run`] owns *how* to run it: building the
+//! topology, expanding replicated flows, installing agents, sharding,
+//! tracing, and auditing conservation; [`sweep_schemes`] fans runs out
+//! over a bounded worker pool.
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use netsim::{
-    Conservation, FlowId, FlowSpec, Handoff, PortStats, Proto, RunResults, SimTime, Simulator,
-    TelemetryConfig, TraceConfig,
+    FaultPlan, FlowId, FlowSpec, Handoff, PortStats, Proto, RunResults, SimTime, Simulator,
+    SloConfig, TelemetryConfig, TraceConfig,
 };
-use topology::{
-    build_fat_tree, build_testbed, FatTree, FatTreeParams, ShardPlan, Testbed, TestbedParams,
-};
+use topology::{build_fat_tree, build_testbed, FatTree, FatTreeParams, ShardPlan, TestbedParams};
 use transport::{install_agents, install_agents_on};
 
+use crate::report::TraceSel;
 use crate::schemes::SchemeSpec;
 
 /// Everything a finished run hands back for analysis (thread-safe: no
@@ -42,8 +43,7 @@ pub struct RunOutput {
     /// appear in `flows` like any other; use [`RunOutput::effective_flows`]
     /// for the first-finisher-wins view.
     pub replicas: Vec<(FlowId, FlowId)>,
-    /// Cross-shard accounting of a sharded run (`None` for the classic
-    /// single-threaded runners and for `shards == 1`).
+    /// Cross-shard accounting of a sharded run (`None` for `shards == 1`).
     pub shard_stats: Option<ShardStats>,
 }
 
@@ -70,11 +70,7 @@ impl Deref for RunOutput {
 }
 
 impl RunOutput {
-    fn from_sim(
-        sim: Simulator,
-        watch_ports: &[(netsim::NodeId, netsim::PortId)],
-        replicas: Vec<(FlowId, FlowId)>,
-    ) -> Self {
+    fn from_sim(sim: Simulator, watch_ports: &[(netsim::NodeId, netsim::PortId)]) -> Self {
         // Every experiment run passes the conservation audit, in every
         // build profile (the simulator itself only debug-asserts it).
         sim.assert_conservation();
@@ -89,7 +85,7 @@ impl RunOutput {
             port_stats,
             events,
             conservation,
-            replicas,
+            replicas: Vec::new(),
             shard_stats: None,
         }
     }
@@ -183,60 +179,354 @@ fn expand_replicas(
     (all, pairs)
 }
 
-/// Run `specs` on a fat-tree of `params` under `scheme`, until `until`
-/// (which should cover the arrival window plus a drain period).
-pub fn run_fat_tree(
-    params: FatTreeParams,
-    scheme: &SchemeSpec,
-    specs: &[FlowSpec],
-    until: SimTime,
-    seed: u64,
-) -> RunOutput {
-    run_fat_tree_with(params, scheme, specs, until, seed, TelemetryConfig::off())
+/// Where a run happens: a fat-tree, or the two-tier testbed with the
+/// `(tor_index, uplink_index)` ports whose statistics come back in
+/// [`RunOutput::port_stats`], in order (the hotspot path-throughput
+/// measurement).
+#[derive(Debug, Clone)]
+pub enum Topo {
+    /// A k-ary (or paper/tiny) fat-tree; the only topology that shards.
+    FatTree(FatTreeParams),
+    /// The paper's testbed, plus the ToR uplinks to snapshot.
+    Testbed {
+        /// Testbed shape.
+        params: TestbedParams,
+        /// `(tor_index, uplink_index)` ports to snapshot at the end.
+        watch_uplinks: Vec<(usize, usize)>,
+    },
 }
 
-/// [`run_fat_tree`] with an explicit telemetry configuration.
-pub fn run_fat_tree_with(
-    params: FatTreeParams,
-    scheme: &SchemeSpec,
-    specs: &[FlowSpec],
-    until: SimTime,
-    seed: u64,
-    telemetry: TelemetryConfig,
-) -> RunOutput {
-    run_fat_tree_traced(
-        params,
-        scheme,
-        specs,
-        until,
-        seed,
-        telemetry,
-        TraceConfig::off(),
-    )
+impl From<FatTreeParams> for Topo {
+    fn from(params: FatTreeParams) -> Self {
+        Topo::FatTree(params)
+    }
 }
 
-/// [`run_fat_tree_with`] plus a flight-recorder [`TraceConfig`]: selected
-/// flows' timelines come back in [`RunResults::timelines`]. Tracing is
-/// read-only — a traced run's flow records, counters, and event count are
-/// byte-identical to the untraced run at the same seed.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fat_tree_traced(
+impl From<TestbedParams> for Topo {
+    fn from(params: TestbedParams) -> Self {
+        Topo::Testbed {
+            params,
+            watch_uplinks: Vec::new(),
+        }
+    }
+}
+
+/// A fault plan built against the constructed fat-tree, so plans can
+/// target specific fabric links. Every shard of a sharded run calls it on
+/// its own copy of the topology, so it must be a pure function of the
+/// [`FatTree`].
+pub type FaultFn<'a> = dyn Fn(&FatTree) -> FaultPlan + Sync + 'a;
+
+/// Everything one simulation run needs. Build it with [`RunSpec::new`]
+/// and override the optional parts with struct-update syntax:
+///
+/// ```ignore
+/// run(&RunSpec { shards: 2, ..RunSpec::new(params, &scheme, &specs, until, seed) })
+/// ```
+pub struct RunSpec<'a> {
+    /// The topology to build.
+    pub topo: Topo,
+    /// The load-balancing design (fabric and host sides).
+    pub scheme: &'a SchemeSpec,
+    /// The traffic; a replicating scheme appends its replicas.
+    pub flows: &'a [FlowSpec],
+    /// Simulate until this instant (arrival window plus a drain period).
+    pub until: SimTime,
+    /// Master seed of the run.
+    pub seed: u64,
+    /// Engine worker threads; 1 is the classic single-threaded engine.
+    pub shards: usize,
+    /// Telemetry series to collect (single-shard only).
+    pub telemetry: TelemetryConfig,
+    /// Flight-recorder selection; `slowest=k` is resolved by an untraced
+    /// probe run of this same spec.
+    pub trace: TraceSel,
+    /// Fault plan to install before any traffic (fat-tree only).
+    pub faults: Option<&'a FaultFn<'a>>,
+    /// Reconvergence / goodput SLO probe to arm.
+    pub slo: Option<SloConfig>,
+}
+
+impl<'a> RunSpec<'a> {
+    /// A single-shard run with telemetry, tracing, faults, and the SLO
+    /// probe all off.
+    pub fn new(
+        topo: impl Into<Topo>,
+        scheme: &'a SchemeSpec,
+        flows: &'a [FlowSpec],
+        until: SimTime,
+        seed: u64,
+    ) -> Self {
+        RunSpec {
+            topo: topo.into(),
+            scheme,
+            flows,
+            until,
+            seed,
+            shards: 1,
+            telemetry: TelemetryConfig::off(),
+            trace: TraceSel::Off,
+            faults: None,
+            slo: None,
+        }
+    }
+
+    /// The shard plan of a multi-shard run (`None` for one shard), or why
+    /// the spec cannot run.
+    fn shard_plan(&self) -> Result<Option<ShardPlan>, String> {
+        let params = match &self.topo {
+            Topo::FatTree(params) => params,
+            Topo::Testbed { .. } if self.shards != 1 => {
+                return Err(format!(
+                    "--shards {}: the testbed runs on the single-threaded engine; use --shards 1",
+                    self.shards
+                ))
+            }
+            Topo::Testbed { .. } if self.faults.is_some() => {
+                return Err("fault plans target fat-tree links; the testbed takes none".into())
+            }
+            Topo::Testbed { .. } => return Ok(None),
+        };
+        let plan = ShardPlan::new(params, self.shards)?;
+        if self.shards == 1 {
+            return Ok(None);
+        }
+        if self.telemetry.enabled {
+            return Err(format!(
+                "--shards {}: telemetry series are collected on one shard only; use --shards 1",
+                self.shards
+            ));
+        }
+        Ok(Some(plan))
+    }
+}
+
+/// Run one simulation. This is the only runner: every experiment, test,
+/// and bench describes its run as a [`RunSpec`] and calls this.
+///
+/// * **One engine body.** Each run is made of instances of the same
+///   per-worker setup (`simulate`): build the topology, arm telemetry,
+///   trace, and SLO probes, install faults, then agents. With one shard
+///   that instance runs straight to `until`; with `shards > 1` the fabric
+///   is partitioned pod-granularly per [`ShardPlan`], one instance per
+///   worker thread claims a partition, and workers synchronize through
+///   the conservative barrier-epoch protocol of `ShardCoord` (below).
+///   Results merge in fixed shard order, so a run is reproducible for a
+///   given `(seed, shards)` regardless of how the OS schedules workers.
+/// * **Tracing.** `trace` applies at every shard count. `slowest=k` runs
+///   an untraced probe first, ranks its flows with [`slowest_flows`], and
+///   replays the run with the recorder on; the replay must process the
+///   same number of events (tracing is read-only), and it is what `run`
+///   returns. Timelines of a flow recorded on several shards merge by
+///   timestamp and are capped to one ring's capacity.
+/// * **Faults.** The plan is installed before any traffic. Gray-loss and
+///   corruption draws come from per-directed-port PCG streams split off a
+///   never-advanced root, so a port's draws depend on its own departure
+///   order, which sharding does not change. In a sharded run each plan
+///   step compiles on the shard owning its anchor node; directions owned
+///   by other shards travel as [`Handoff::Fault`] in a mailbox round run
+///   before agents are installed, so fault events sit below every flow
+///   event on every shard, as in a single-shard run. Two same-instant
+///   steps from *different* anchors on the same directed egress may
+///   apply in source-shard order; separate such steps in time.
+/// * **Audit.** Every run passes the conservation audit before results
+///   are handed out; a sharded run checks each shard's ledger after
+///   every epoch and the merged cross-shard ledger at quiesce.
+///
+/// Byte-identity across shard counts requires a *tie-free* workload: two
+/// packets reaching one switch at the same picosecond from different
+/// ingress ports are served in event insertion order, which the engines
+/// reach differently per partition. Poisson-arrival workloads never tie
+/// in practice; the synchronized `microbench` and incast flow sets do, so
+/// they are reproducible per shard count but not byte-stable across
+/// counts.
+///
+/// Errors (rather than panics) on specs that cannot run: shard counts the
+/// fabric cannot host, a sharded or faulted testbed, and telemetry on
+/// more than one shard (per-shard series would merge in a different
+/// order than one shard records them). The CLI surfaces these directly.
+pub fn run(spec: &RunSpec) -> Result<RunOutput, String> {
+    let plan = spec.shard_plan()?;
+    let (flows, replicas) = expand_replicas(spec.flows, spec.scheme);
+    let execute = |trace: &TraceConfig| {
+        let mut out = match &plan {
+            None => simulate(spec, trace, &flows, None),
+            Some(plan) => run_sharded(spec, trace, &flows, plan),
+        };
+        out.replicas = replicas.clone();
+        out
+    };
+    let mut probe_events = None;
+    let trace = spec.trace.config_with(|k| {
+        let probe = execute(&TraceConfig::off());
+        probe_events = Some(probe.events);
+        slowest_flows(&probe, k)
+    });
+    let out = execute(&trace);
+    if let Some(events) = probe_events {
+        assert_eq!(
+            out.events, events,
+            "tracing must not perturb the simulation"
+        );
+    }
+    Ok(out)
+}
+
+/// [`run`] of a fault-free fat-tree on `shards` engine threads.
+pub fn run_fat_tree_sharded(
     params: FatTreeParams,
     scheme: &SchemeSpec,
     specs: &[FlowSpec],
     until: SimTime,
     seed: u64,
-    telemetry: TelemetryConfig,
-    trace: TraceConfig,
+    shards: usize,
+) -> Result<RunOutput, String> {
+    run(&RunSpec {
+        shards,
+        ..RunSpec::new(params, scheme, specs, until, seed)
+    })
+}
+
+/// Worker `me` of a sharded run: its partition and the shared coordinator.
+type Shard<'a> = (&'a ShardPlan, &'a ShardCoord, usize);
+
+/// One engine instance. Without `shard` it owns the whole topology and
+/// runs straight to `spec.until`; with one it claims its partition and
+/// joins the barrier-epoch loop.
+fn simulate(
+    spec: &RunSpec,
+    trace: &TraceConfig,
+    flows: &[FlowSpec],
+    shard: Option<Shard>,
 ) -> RunOutput {
-    let mut sim = Simulator::new(seed);
-    sim.set_telemetry(telemetry);
-    sim.set_trace(trace);
-    let _ft: FatTree = build_fat_tree(&mut sim, params, scheme.switch_config());
-    let (specs, replicas) = expand_replicas(specs, scheme);
-    install_agents(&mut sim, &specs, &scheme.tcp_config());
-    sim.run_until(until);
-    RunOutput::from_sim(sim, &[], replicas)
+    let mut sim = Simulator::new(spec.seed);
+    sim.set_telemetry(spec.telemetry.clone());
+    sim.set_trace(trace.clone());
+    if let Some(cfg) = spec.slo {
+        sim.set_slo(cfg);
+    }
+    let watch: Vec<_> = match &spec.topo {
+        Topo::FatTree(params) => {
+            let ft = build_fat_tree(&mut sim, *params, spec.scheme.switch_config());
+            if let Some((plan, _, me)) = shard {
+                sim.set_owned(plan.owned_mask(me));
+            }
+            if let Some(faults) = spec.faults {
+                sim.install_faults(&faults(&ft));
+            }
+            Vec::new()
+        }
+        Topo::Testbed {
+            params,
+            watch_uplinks,
+        } => {
+            let tb = build_testbed(&mut sim, params.clone(), spec.scheme.switch_config());
+            watch_uplinks
+                .iter()
+                .map(|&(t, a)| (tb.tors[t], tb.tor_uplinks[t][a]))
+                .collect()
+        }
+    };
+    let Some((plan, coord, me)) = shard else {
+        install_agents(&mut sim, flows, &spec.scheme.tcp_config());
+        sim.run_until(spec.until);
+        return RunOutput::from_sim(sim, &watch);
+    };
+    // Round 0: cross-shard fault directions cross the mailbox before any
+    // traffic exists, so their event seqs sit below every flow event —
+    // the single-shard install order.
+    coord.post(me, sim.take_outbox(), plan);
+    for h in coord.collect(me) {
+        sim.import(h);
+    }
+    install_agents_on(&mut sim, flows, &spec.scheme.tcp_config(), |h| {
+        plan.owner_of(h) == me
+    });
+    let lookahead = sim
+        .lookahead()
+        .expect("a multi-shard plan must produce cross-shard links");
+    coord
+        .lookahead
+        .fetch_min(lookahead.as_ps(), Ordering::SeqCst);
+    let until_ps = spec.until.as_ps();
+    loop {
+        let next = sim.next_event_time().map_or(u64::MAX, |t| t.as_ps());
+        let Some(deadline) = coord.agree(next, until_ps) else {
+            break;
+        };
+        sim.run_window(deadline);
+        coord.post(me, sim.take_outbox(), plan);
+        for h in coord.collect(me) {
+            sim.import(h);
+        }
+        // Every epoch keeps the books balanced, not just the quiesced end
+        // state — a fault that leaks or double counts a packet is caught
+        // in the epoch it happens.
+        sim.assert_conservation();
+    }
+    RunOutput::from_sim(sim, &[])
+}
+
+/// Run one [`simulate`] instance per shard on scoped threads and merge
+/// them in shard order, checking the cross-shard ledger: every packet
+/// exported by one shard must have been imported by another, and the
+/// global invariant must balance once handoffs cancel.
+fn run_sharded(
+    spec: &RunSpec,
+    trace: &TraceConfig,
+    flows: &[FlowSpec],
+    plan: &ShardPlan,
+) -> RunOutput {
+    let shards = plan.shards();
+    let coord = ShardCoord::new(shards);
+    let workers: Vec<RunOutput> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..shards)
+            .map(|me| {
+                let coord = &coord;
+                scope.spawn(move || simulate(spec, trace, flows, Some((plan, coord, me))))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .collect()
+    });
+
+    let mut it = workers.into_iter();
+    let mut out = it.next().expect("at least one shard");
+    let mut c = out.conservation;
+    for w in it {
+        out.results.merge(w.results);
+        out.events += w.events;
+        c.injected += w.conservation.injected;
+        c.delivered += w.conservation.delivered;
+        c.in_flight += w.conservation.in_flight;
+        for (a, b) in c.dropped.iter_mut().zip(w.conservation.dropped) {
+            *a += b;
+        }
+        c.exported += w.conservation.exported;
+        c.imported += w.conservation.imported;
+    }
+    let (exported, imported) = (c.exported, c.imported);
+    assert_eq!(
+        exported, imported,
+        "cross-shard handoff imbalance at quiesce: {exported} exported vs {imported} imported"
+    );
+    // Imports re-insert packets that already counted at their source
+    // shard; subtract them so `injected` means true injections.
+    c.injected -= imported;
+    c.exported -= imported;
+    c.imported = 0;
+    assert!(c.holds(), "packet conservation violated across shards: {c}");
+    out.conservation = c;
+    out.results.cap_timelines(trace.ring_capacity);
+    out.shard_stats = Some(ShardStats {
+        shards,
+        handoffs: exported,
+        rounds: coord.rounds.load(Ordering::Relaxed),
+        lookahead_ps: coord.lookahead.load(Ordering::Relaxed),
+    });
+    out
 }
 
 /// The synchronization state shared by all workers of one sharded run.
@@ -339,323 +629,6 @@ impl ShardCoord {
     }
 }
 
-/// [`run_fat_tree`] on `shards` worker threads (the sharded multi-core
-/// engine). `shards == 1` delegates to the classic single-threaded runner
-/// — byte-identical to [`run_fat_tree`] by construction. For `shards > 1`
-/// the fabric is partitioned pod-granularly per [`ShardPlan`], each worker
-/// simulates its partition over a private event ladder and packet slab,
-/// and workers synchronize through the conservative barrier-epoch
-/// protocol of `ShardCoord` (above). Results merge in fixed shard order, so a
-/// run is reproducible for a given `(seed, shards)` regardless of how the
-/// OS schedules the workers.
-///
-/// This is the empty-fault-plan special case of
-/// [`run_fat_tree_sharded_faults`]. Telemetry and flight-recorder tracing
-/// remain single-threaded features (their probe streams are keyed to one
-/// event ladder); fault plans and reconvergence SLO probes shard cleanly
-/// and live in the `_faults` variant.
-///
-/// Errors (rather than panics) on shard counts the fabric cannot host —
-/// the CLI surfaces these directly.
-pub fn run_fat_tree_sharded(
-    params: FatTreeParams,
-    scheme: &SchemeSpec,
-    specs: &[FlowSpec],
-    until: SimTime,
-    seed: u64,
-    shards: usize,
-) -> Result<RunOutput, String> {
-    run_fat_tree_sharded_faults(params, scheme, specs, until, seed, shards, None, |_| {
-        netsim::FaultPlan::new()
-    })
-}
-
-/// [`run_fat_tree_sharded`] plus deterministic fault injection and an
-/// optional reconvergence SLO probe — the chaos engine's entry point.
-///
-/// The fault plan is built once per worker against that worker's own copy
-/// of the topology (the closure must therefore be a pure function of the
-/// [`FatTree`]). Determinism across shard counts rests on two properties:
-///
-/// * **Per-port fault RNG.** Gray-loss and corruption draws come from a
-///   per-directed-port PCG stream split off a never-advanced root, so a
-///   port's draw sequence is a function of its own departure order — which
-///   sharding does not change — rather than of the global event
-///   interleaving, which it does.
-/// * **Anchor-owner handoff.** Each plan step is compiled to directed
-///   per-port faults by the shard owning the step's anchor node; the
-///   directions owned by other shards travel through the epoch mailbox as
-///   [`Handoff::Fault`] messages. The exchange below runs one mailbox
-///   round *before* any traffic is installed, so fault events get seq
-///   numbers below every flow event on every shard — the same relative
-///   order the classic runner produces by installing faults first.
-///
-/// With an empty plan no handoffs are posted and no draws are made, so
-/// fault-free output is byte-identical to [`run_fat_tree_sharded`] (and,
-/// at `shards == 1`, to [`run_fat_tree`]).
-///
-/// When `slo` is set, every worker arms the same probe and the per-shard
-/// [`netsim::SloResults`] merge with the flow records; the per-shard
-/// conservation ledger is additionally asserted after **every** epoch's
-/// import phase, so a fault that corrupts the books is caught in the
-/// epoch it happens, not at quiesce.
-///
-/// Byte-identity across shard counts additionally requires a *tie-free*
-/// workload: when two packets arrive at the same switch at the exact same
-/// picosecond from different ingress ports, their service order is the
-/// event insertion order, which the classic and sharded engines reach
-/// differently. Poisson-arrival workloads (fabric-scale, chaos, the
-/// property suite) never tie in practice; the synchronized `microbench`
-/// flow sets (gray-failure, link-failure) tie constantly and are
-/// reproducible per shard count but not byte-stable across counts — a
-/// pre-existing property of the engine, not of fault injection.
-///
-/// One caveat carried over from [`netsim::Simulator::install_faults`]:
-/// two same-instant plan steps from *different* anchor nodes targeting
-/// the same directed egress may apply in source-shard order rather than
-/// plan order. Plans that want a deterministic winner across shard counts
-/// should separate such steps in time.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fat_tree_sharded_faults<F>(
-    params: FatTreeParams,
-    scheme: &SchemeSpec,
-    specs: &[FlowSpec],
-    until: SimTime,
-    seed: u64,
-    shards: usize,
-    slo: Option<netsim::SloConfig>,
-    plan_fn: F,
-) -> Result<RunOutput, String>
-where
-    F: Fn(&FatTree) -> netsim::FaultPlan + Sync,
-{
-    let plan = ShardPlan::new(&params, shards)?;
-    if shards == 1 {
-        let mut sim = Simulator::new(seed);
-        if let Some(cfg) = slo {
-            sim.set_slo(cfg);
-        }
-        let ft: FatTree = build_fat_tree(&mut sim, params, scheme.switch_config());
-        sim.install_faults(&plan_fn(&ft));
-        let (specs, replicas) = expand_replicas(specs, scheme);
-        install_agents(&mut sim, &specs, &scheme.tcp_config());
-        sim.run_until(until);
-        return Ok(RunOutput::from_sim(sim, &[], replicas));
-    }
-    let (specs, replicas) = expand_replicas(specs, scheme);
-    let coord = ShardCoord::new(shards);
-    let mut worker_out: Vec<(RunResults, u64, Conservation)> = Vec::with_capacity(shards);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|shard| {
-                let coord = &coord;
-                let plan = &plan;
-                let specs = &specs[..];
-                let plan_fn = &plan_fn;
-                scope.spawn(move || {
-                    let mut sim = Simulator::new(seed);
-                    let ft = build_fat_tree(&mut sim, params, scheme.switch_config());
-                    sim.set_owned(plan.owned_mask(shard));
-                    if let Some(cfg) = slo {
-                        sim.set_slo(cfg);
-                    }
-                    sim.install_faults(&plan_fn(&ft));
-                    // Round 0: cross-shard fault directions cross the mailbox
-                    // before any traffic exists, so their event seqs sit below
-                    // every flow event — the classic runner's install order.
-                    coord.post(shard, sim.take_outbox(), plan);
-                    for h in coord.collect(shard) {
-                        sim.import(h);
-                    }
-                    install_agents_on(&mut sim, specs, &scheme.tcp_config(), |h| {
-                        plan.owner_of(h) == shard
-                    });
-                    let lookahead = sim
-                        .lookahead()
-                        .expect("a multi-shard plan must produce cross-shard links");
-                    coord
-                        .lookahead
-                        .fetch_min(lookahead.as_ps(), Ordering::SeqCst);
-                    let until_ps = until.as_ps();
-                    loop {
-                        let next = sim.next_event_time().map_or(u64::MAX, |t| t.as_ps());
-                        let Some(deadline) = coord.agree(next, until_ps) else {
-                            break;
-                        };
-                        sim.run_window(deadline);
-                        coord.post(shard, sim.take_outbox(), plan);
-                        for h in coord.collect(shard) {
-                            sim.import(h);
-                        }
-                        // Every epoch keeps the books balanced, not just the
-                        // quiesced end state — a fault that leaks or double
-                        // counts a packet is caught in the epoch it happens.
-                        sim.assert_conservation();
-                    }
-                    sim.assert_conservation();
-                    let events = sim.events_processed();
-                    let conservation = sim.conservation();
-                    (sim.into_results(), events, conservation)
-                })
-            })
-            .collect();
-        worker_out = handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect();
-    });
-
-    // Deterministic merge in shard order, then the cross-shard ledger:
-    // every packet exported by one shard must have been imported by
-    // another, and the global invariant must balance once handoffs cancel.
-    let mut it = worker_out.into_iter();
-    let (mut results, mut events, first_c) = it.next().expect("at least one shard");
-    let (mut injected, mut delivered, mut in_flight) =
-        (first_c.injected, first_c.delivered, first_c.in_flight);
-    let mut dropped = first_c.dropped;
-    let (mut exported, mut imported) = (first_c.exported, first_c.imported);
-    for (r, e, c) in it {
-        results.merge(r);
-        events += e;
-        injected += c.injected;
-        delivered += c.delivered;
-        in_flight += c.in_flight;
-        for (a, b) in dropped.iter_mut().zip(c.dropped) {
-            *a += b;
-        }
-        exported += c.exported;
-        imported += c.imported;
-    }
-    assert_eq!(
-        exported, imported,
-        "cross-shard handoff imbalance at quiesce: {exported} exported vs {imported} imported"
-    );
-    let conservation = Conservation {
-        // Imports re-insert packets that already counted at their source
-        // shard; subtract them so `injected` means true injections.
-        injected: injected - imported,
-        delivered,
-        dropped,
-        in_flight,
-        exported: exported - imported,
-        imported: 0,
-    };
-    assert!(
-        conservation.holds(),
-        "packet conservation violated across shards: {conservation}"
-    );
-    Ok(RunOutput {
-        results,
-        port_stats: Vec::new(),
-        events,
-        conservation,
-        replicas,
-        shard_stats: Some(ShardStats {
-            shards,
-            handoffs: exported,
-            rounds: coord.rounds.load(Ordering::Relaxed),
-            lookahead_ps: coord.lookahead.load(Ordering::Relaxed),
-        }),
-    })
-}
-
-/// [`run_fat_tree_with`] plus a [`netsim::FaultPlan`] built against the
-/// constructed topology (the closure receives the [`FatTree`] so plans can
-/// target specific fabric links before the run starts).
-#[allow(clippy::too_many_arguments)]
-pub fn run_fat_tree_faults(
-    params: FatTreeParams,
-    scheme: &SchemeSpec,
-    specs: &[FlowSpec],
-    until: SimTime,
-    seed: u64,
-    telemetry: TelemetryConfig,
-    plan: impl FnOnce(&FatTree) -> netsim::FaultPlan,
-) -> RunOutput {
-    run_fat_tree_faults_traced(
-        params,
-        scheme,
-        specs,
-        until,
-        seed,
-        telemetry,
-        TraceConfig::off(),
-        plan,
-    )
-}
-
-/// [`run_fat_tree_faults`] with a flight-recorder [`TraceConfig`] — the
-/// combination the gray-failure diagnosis workflow uses (`--trace` on the
-/// experiments CLI lands here).
-#[allow(clippy::too_many_arguments)]
-pub fn run_fat_tree_faults_traced(
-    params: FatTreeParams,
-    scheme: &SchemeSpec,
-    specs: &[FlowSpec],
-    until: SimTime,
-    seed: u64,
-    telemetry: TelemetryConfig,
-    trace: TraceConfig,
-    plan: impl FnOnce(&FatTree) -> netsim::FaultPlan,
-) -> RunOutput {
-    let mut sim = Simulator::new(seed);
-    sim.set_telemetry(telemetry);
-    sim.set_trace(trace);
-    let ft: FatTree = build_fat_tree(&mut sim, params, scheme.switch_config());
-    sim.install_faults(&plan(&ft));
-    let (specs, replicas) = expand_replicas(specs, scheme);
-    install_agents(&mut sim, &specs, &scheme.tcp_config());
-    sim.run_until(until);
-    RunOutput::from_sim(sim, &[], replicas)
-}
-
-/// Run `specs` on a testbed of `params` under `scheme`. `watch_uplinks`
-/// selects `(tor_index, uplink_index)` ports to snapshot (for the hotspot
-/// path-throughput measurement); their stats appear in `port_stats` in
-/// order.
-pub fn run_testbed(
-    params: TestbedParams,
-    scheme: &SchemeSpec,
-    specs: &[FlowSpec],
-    until: SimTime,
-    seed: u64,
-    watch_uplinks: &[(usize, usize)],
-) -> RunOutput {
-    run_testbed_with(
-        params,
-        scheme,
-        specs,
-        until,
-        seed,
-        watch_uplinks,
-        TelemetryConfig::off(),
-    )
-}
-
-/// [`run_testbed`] with an explicit telemetry configuration.
-#[allow(clippy::too_many_arguments)]
-pub fn run_testbed_with(
-    params: TestbedParams,
-    scheme: &SchemeSpec,
-    specs: &[FlowSpec],
-    until: SimTime,
-    seed: u64,
-    watch_uplinks: &[(usize, usize)],
-    telemetry: TelemetryConfig,
-) -> RunOutput {
-    let mut sim = Simulator::new(seed);
-    sim.set_telemetry(telemetry);
-    let tb: Testbed = build_testbed(&mut sim, params, scheme.switch_config());
-    let ports: Vec<_> = watch_uplinks
-        .iter()
-        .map(|&(t, a)| (tb.tors[t], tb.tor_uplinks[t][a]))
-        .collect();
-    let (specs, replicas) = expand_replicas(specs, scheme);
-    install_agents(&mut sim, &specs, &scheme.tcp_config());
-    sim.run_until(until);
-    RunOutput::from_sim(sim, &ports, replicas)
-}
-
 /// Map `f` over `inputs` on a bounded worker pool (runs are
 /// single-threaded and independent; sweeps parallelize across
 /// configurations). Workers are capped at the machine's available
@@ -675,21 +648,9 @@ where
     parallel_map_capped(inputs, usize::MAX, f)
 }
 
-/// The sweep-worker budget for jobs that each run `shards` engine threads
-/// of their own: one sweep worker per `shards` cores of available
-/// parallelism, never below one. `sweep_cap(1)` is the full machine —
-/// [`parallel_map`]'s classic behavior.
-pub fn sweep_cap(shards: usize) -> usize {
-    let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
-    (avail / shards.max(1)).max(1)
-}
-
 /// [`parallel_map`] with an explicit ceiling on concurrent workers
 /// (effective worker count: `min(cap, available parallelism, inputs)`).
-/// Sweeps whose jobs are themselves multi-threaded — sharded engine runs
-/// with `--shards N` — pass [`sweep_cap`]`(N)` so scheme × load points
-/// still run concurrently without oversubscribing the shard workers.
-pub fn parallel_map_capped<I, T, F>(inputs: Vec<I>, cap: usize, f: F) -> Vec<T>
+fn parallel_map_capped<I, T, F>(inputs: Vec<I>, cap: usize, f: F) -> Vec<T>
 where
     I: Send,
     T: Send,
@@ -749,24 +710,14 @@ where
 
 /// Run `f` for every `(param, scheme)` pair on the [`parallel_map`] pool
 /// and return the results grouped by parameter: `out[p]` holds one entry
-/// per scheme, in registry order. This is the one sweep loop every
-/// experiment used to hand-roll; jobs are flattened params-outer /
-/// schemes-inner so result order matches the nested loops they replaced.
-pub fn sweep_schemes<P, T, F>(schemes: &[SchemeSpec], params: &[P], f: F) -> Vec<Vec<T>>
-where
-    P: Clone + Send + Sync,
-    T: Send,
-    F: Fn(&SchemeSpec, &P) -> T + Sync,
-{
-    sweep_schemes_sharded(schemes, params, 1, f)
-}
-
-/// [`sweep_schemes`] for jobs that each run the sharded engine with
-/// `shards` worker threads: the sweep pool is capped at
-/// [`sweep_cap`]`(shards)` so `sweep workers × shards` never exceeds the
-/// machine's available parallelism. `shards = 1` is exactly
-/// [`sweep_schemes`].
-pub fn sweep_schemes_sharded<P, T, F>(
+/// per scheme, in registry order. Jobs are flattened params-outer /
+/// schemes-inner so result order matches the nested loops this replaced.
+///
+/// `shards` is the engine thread count each job runs with: the pool is
+/// capped at one sweep worker per `shards` cores of available parallelism
+/// (never below one), so `sweep workers × shards` never oversubscribes
+/// the machine. The cap changes scheduling, never results.
+pub fn sweep_schemes<P, T, F>(
     schemes: &[SchemeSpec],
     params: &[P],
     shards: usize,
@@ -781,7 +732,9 @@ where
         .iter()
         .flat_map(|p| schemes.iter().map(|s| (s.clone(), p.clone())))
         .collect();
-    let flat = parallel_map_capped(jobs, sweep_cap(shards), |(s, p)| f(&s, &p));
+    let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let cap = avail / shards.max(1);
+    let flat = parallel_map_capped(jobs, cap, |(s, p)| f(&s, &p));
     let mut flat = flat.into_iter();
     params
         .iter()
@@ -831,6 +784,17 @@ mod tests {
     use flowbender as fb;
     use netsim::Counter;
 
+    fn run_spec(spec: RunSpec) -> RunOutput {
+        run(&spec).expect("a valid single-shard spec")
+    }
+
+    /// Silence host 0's NIC outright: every flow it sources never finishes.
+    fn kill_host0(ft: &FatTree) -> FaultPlan {
+        let mut plan = FaultPlan::new();
+        plan.gray_loss(ft.hosts[0], 0, 1.0, SimTime::ZERO);
+        plan
+    }
+
     #[test]
     fn tiny_fat_tree_run_completes_flows() {
         let params = FatTreeParams::tiny();
@@ -838,7 +802,13 @@ mod tests {
             .map(|i| FlowSpec::tcp(i, i, 8 + i, 500_000, SimTime::ZERO))
             .collect();
         for scheme in schemes::paper_set() {
-            let out = run_fat_tree(params, &scheme, &specs, SimTime::from_secs(5), 1);
+            let out = run_spec(RunSpec::new(
+                params,
+                &scheme,
+                &specs,
+                SimTime::from_secs(5),
+                1,
+            ));
             let done = out.flows.iter().filter(|f| f.fct().is_some()).count();
             assert_eq!(done, 8, "{} incomplete", scheme.name());
             assert!(out.events > 0);
@@ -853,21 +823,46 @@ mod tests {
             FlowSpec::tcp(0, 0, 5, 1_000_000, SimTime::ZERO),
             FlowSpec::udp(1, 0, 5, 1_000_000_000, SimTime::ZERO),
         ];
-        let watch: Vec<(usize, usize)> = (0..4).map(|a| (0usize, a)).collect();
-        let out = run_testbed(
+        let topo = Topo::Testbed {
             params,
-            &schemes::ecmp(),
-            &specs,
-            SimTime::from_ms(20),
-            7,
-            &watch,
-        );
+            watch_uplinks: (0..4).map(|a| (0usize, a)).collect(),
+        };
+        let scheme = schemes::ecmp();
+        let out = run_spec(RunSpec::new(topo, &scheme, &specs, SimTime::from_ms(20), 7));
         assert_eq!(out.port_stats.len(), 4);
         let tcp_total: u64 = out.port_stats.iter().map(|p| p.tx_bytes_tcp).sum();
         let udp_total: u64 = out.port_stats.iter().map(|p| p.tx_bytes_udp).sum();
         assert!(tcp_total > 0, "TCP crossed the uplinks");
         assert!(udp_total > 0, "UDP crossed the uplinks");
         assert_eq!(out.flows[1].proto, Proto::Udp);
+    }
+
+    #[test]
+    fn testbed_specs_refuse_shards_and_faults() {
+        let specs = vec![FlowSpec::tcp(0, 0, 5, 100_000, SimTime::ZERO)];
+        let scheme = schemes::ecmp();
+        let spec = || {
+            RunSpec::new(
+                TestbedParams::tiny(),
+                &scheme,
+                &specs,
+                SimTime::from_ms(5),
+                1,
+            )
+        };
+        let err = run(&RunSpec {
+            shards: 2,
+            ..spec()
+        })
+        .unwrap_err();
+        assert!(err.contains("--shards 1"), "{err}");
+        let err = run(&RunSpec {
+            faults: Some(&kill_host0),
+            ..spec()
+        })
+        .unwrap_err();
+        assert!(err.contains("testbed"), "{err}");
+        assert!(run(&spec()).is_ok());
     }
 
     #[test]
@@ -879,13 +874,14 @@ mod tests {
             FlowSpec::tcp(1, 1, 9, 30_000, SimTime::ZERO),
             FlowSpec::tcp(2, 2, 10, 2_000_000, SimTime::ZERO),
         ];
-        let out = run_fat_tree(
+        let scheme = schemes::repflow();
+        let out = run_spec(RunSpec::new(
             params,
-            &schemes::repflow(),
+            &scheme,
             &specs,
             SimTime::from_secs(5),
             3,
-        );
+        ));
         assert_eq!(out.replicas, vec![(0, 3), (1, 4)]);
         assert_eq!(out.flows.len(), 5, "two replicas were installed");
         assert!(out.flows.iter().all(|f| f.fct().is_some()));
@@ -917,19 +913,11 @@ mod tests {
             FlowSpec::tcp(0, 0, 8, 50_000, SimTime::ZERO),
             FlowSpec::tcp(1, 1, 9, 30_000, SimTime::ZERO),
         ];
-        let out = run_fat_tree_faults(
-            params,
-            &schemes::repflow(),
-            &specs,
-            SimTime::from_ms(200),
-            3,
-            TelemetryConfig::off(),
-            |ft| {
-                let mut plan = netsim::FaultPlan::new();
-                plan.gray_loss(ft.hosts[0], 0, 1.0, SimTime::ZERO);
-                plan
-            },
-        );
+        let scheme = schemes::repflow();
+        let out = run_spec(RunSpec {
+            faults: Some(&kill_host0),
+            ..RunSpec::new(params, &scheme, &specs, SimTime::from_ms(200), 3)
+        });
         let eff = out.effective_flows();
         assert_eq!(eff.len(), 2, "replicas fold away even when incomplete");
         let incomplete = out.incomplete_flows();
@@ -946,19 +934,11 @@ mod tests {
             FlowSpec::tcp(1, 1, 9, 30_000, SimTime::ZERO),
             FlowSpec::tcp(2, 2, 10, 2_000_000, SimTime::ZERO),
         ];
-        let out = run_fat_tree_faults(
-            params,
-            &schemes::ecmp(),
-            &specs,
-            SimTime::from_ms(200),
-            3,
-            TelemetryConfig::off(),
-            |ft| {
-                let mut plan = netsim::FaultPlan::new();
-                plan.gray_loss(ft.hosts[0], 0, 1.0, SimTime::ZERO);
-                plan
-            },
-        );
+        let scheme = schemes::ecmp();
+        let out = run_spec(RunSpec {
+            faults: Some(&kill_host0),
+            ..RunSpec::new(params, &scheme, &specs, SimTime::from_ms(200), 3)
+        });
         let slow = slowest_flows(&out, 2);
         assert_eq!(slow.len(), 2);
         assert_eq!(slow[0], 0, "the flow that never finished ranks slowest");
@@ -973,7 +953,14 @@ mod tests {
     fn non_replicating_scheme_has_no_replicas() {
         let params = FatTreeParams::tiny();
         let specs = vec![FlowSpec::tcp(0, 0, 8, 50_000, SimTime::ZERO)];
-        let out = run_fat_tree(params, &schemes::ecmp(), &specs, SimTime::from_secs(5), 3);
+        let scheme = schemes::ecmp();
+        let out = run_spec(RunSpec::new(
+            params,
+            &scheme,
+            &specs,
+            SimTime::from_secs(5),
+            3,
+        ));
         assert!(out.replicas.is_empty());
         assert_eq!(out.effective_flows().len(), out.flows.len());
     }
@@ -1041,30 +1028,21 @@ mod tests {
     }
 
     #[test]
-    fn sweep_cap_divides_the_machine_between_sweep_and_shards() {
+    fn sweep_shard_count_changes_scheduling_never_results() {
         let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
-        assert_eq!(sweep_cap(1), avail.max(1));
-        assert!(sweep_cap(avail * 2) >= 1, "never starves the sweep");
-        assert!(
-            sweep_cap(2).saturating_mul(2) <= avail.max(2),
-            "cap x shards stays within the machine"
-        );
-        assert_eq!(sweep_cap(0), sweep_cap(1), "0 shards treated as 1");
-    }
-
-    #[test]
-    fn sweep_schemes_sharded_matches_the_unsharded_sweep() {
         let schemes = vec![schemes::ecmp(), schemes::rps()];
         let f = |s: &SchemeSpec, p: &u64| format!("{}@{p}", s.name());
-        let a = sweep_schemes(&schemes, &[10u64, 20u64], f);
-        let b = sweep_schemes_sharded(&schemes, &[10u64, 20u64], 4, f);
-        assert_eq!(a, b, "the cap changes scheduling, never results");
+        let a = sweep_schemes(&schemes, &[10u64, 20u64], 1, f);
+        // More shards than cores, and zero, still get one sweep worker.
+        for shards in [0, 4, avail * 2] {
+            assert_eq!(a, sweep_schemes(&schemes, &[10u64, 20u64], shards, f));
+        }
     }
 
     #[test]
     fn sweep_schemes_groups_by_param_in_registry_order() {
         let schemes = vec![schemes::ecmp(), schemes::rps()];
-        let out = sweep_schemes(&schemes, &[10u64, 20u64], |s, p| {
+        let out = sweep_schemes(&schemes, &[10u64, 20u64], 1, |s, p| {
             format!("{}@{p}", s.name())
         });
         assert_eq!(
@@ -1082,20 +1060,17 @@ mod tests {
         let specs: Vec<FlowSpec> = (0..8)
             .map(|i| FlowSpec::tcp(i, i, 8 + i, 200_000, SimTime::ZERO))
             .collect();
-        let out = run_fat_tree_faults(
-            params,
-            &schemes::ecmp(),
-            &specs,
-            SimTime::from_secs(5),
-            1,
-            TelemetryConfig::off(),
-            |ft| {
-                let mut plan = netsim::FaultPlan::new();
-                let (agg, port) = ft.agg_core_link(0, 0);
-                plan.gray_loss(agg, port, 0.05, SimTime::ZERO);
-                plan
-            },
-        );
+        let scheme = schemes::ecmp();
+        let gray = |ft: &FatTree| {
+            let mut plan = FaultPlan::new();
+            let (agg, port) = ft.agg_core_link(0, 0);
+            plan.gray_loss(agg, port, 0.05, SimTime::ZERO);
+            plan
+        };
+        let out = run_spec(RunSpec {
+            faults: Some(&gray),
+            ..RunSpec::new(params, &scheme, &specs, SimTime::from_secs(5), 1)
+        });
         assert!(out.conservation.holds());
         assert_eq!(
             out.conservation.injected,
@@ -1112,14 +1087,11 @@ mod tests {
             .map(|i| FlowSpec::tcp(i, i, 8 + i, 500_000, SimTime::ZERO))
             .collect();
         let scheme = schemes::flowbender(fb::Config::default());
-        let out = run_fat_tree_with(
-            params,
-            &scheme,
-            &specs,
-            SimTime::from_secs(5),
-            1,
-            TelemetryConfig::all(SimTime::from_us(100)),
-        );
+        let spec = RunSpec::new(params, &scheme, &specs, SimTime::from_secs(5), 1);
+        let out = run_spec(RunSpec {
+            telemetry: TelemetryConfig::all(SimTime::from_us(100)),
+            ..RunSpec::new(params, &scheme, &specs, SimTime::from_secs(5), 1)
+        });
         assert!(
             out.series()
                 .iter()
@@ -1131,7 +1103,7 @@ mod tests {
             "V-field traces collected (at least the start anchor)"
         );
         // The same run without telemetry behaves identically flow-wise.
-        let plain = run_fat_tree(params, &scheme, &specs, SimTime::from_secs(5), 1);
+        let plain = run_spec(spec);
         assert!(plain.series().is_empty());
         assert_eq!(
             plain.events, out.events,

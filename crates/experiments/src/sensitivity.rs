@@ -14,7 +14,7 @@ use topology::FatTreeParams;
 use workloads::{all_to_all, FlowSizeDist};
 
 use crate::report::{Opts, Report};
-use crate::scenario::{parallel_map, run_fat_tree, Window};
+use crate::scenario::{self, parallel_map, RunSpec, Window};
 use crate::schemes;
 
 /// N values of Figure 6.
@@ -30,13 +30,9 @@ fn run_variant(opts: &Opts, cfg: flowbender::Config) -> f64 {
     let dist = FlowSizeDist::web_search();
     let mut rng = netsim::DetRng::new(opts.seed, 0x5E45);
     let specs = all_to_all(&params, 0.4, duration, &dist, &mut rng);
-    let out = run_fat_tree(
-        params,
-        &schemes::flowbender(cfg),
-        &specs,
-        window.drain_until,
-        opts.seed,
-    );
+    let scheme = schemes::flowbender(cfg);
+    let spec = RunSpec::new(params, &scheme, &specs, window.drain_until, opts.seed);
+    let out = scenario::run(&spec).expect("single-shard spec");
     let s = samples(&out.flows, window.start, window.end);
     let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();
     stats::mean(&fcts).unwrap_or(0.0)

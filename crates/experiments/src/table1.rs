@@ -15,7 +15,7 @@ use topology::FatTreeParams;
 use workloads::microbench;
 
 use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{parallel_map, run_fat_tree_with};
+use crate::scenario::{self, parallel_map, RunSpec};
 use crate::schemes::{self, SchemeSpec};
 
 /// Flow counts evaluated by the paper (1, 2, 3 flows per route on average).
@@ -48,22 +48,10 @@ fn telemetry() -> TelemetryConfig {
     }
 }
 
-/// Run the microbenchmark for one scheme across all flow counts.
-pub fn run_scheme(scheme: &SchemeSpec, bytes: u64, seed: u64) -> Vec<Cell> {
-    let opts = Opts {
-        scale: 1.0,
-        seed,
-        ..Opts::default()
-    };
-    run_scheme_with(scheme, bytes, seed, TelemetryConfig::off(), &opts)
-        .into_iter()
-        .map(|(cell, _)| cell)
-        .collect()
-}
-
-/// Like [`run_scheme`], but with a telemetry configuration, also
-/// returning the machine-readable [`RunSummary`] of every run.
-pub fn run_scheme_with(
+/// Run the microbenchmark for one scheme across all flow counts with a
+/// telemetry configuration, returning each cell with the machine-readable
+/// [`RunSummary`] of its run.
+pub fn run_scheme(
     scheme: &SchemeSpec,
     bytes: u64,
     seed: u64,
@@ -74,14 +62,11 @@ pub fn run_scheme_with(
     let slug = scheme.slug();
     parallel_map(FLOW_COUNTS.to_vec(), |n| {
         let specs = microbench(&params, n, bytes);
-        let out = run_fat_tree_with(
-            params,
-            scheme,
-            &specs,
-            SimTime::from_secs(120),
-            seed,
-            telemetry.clone(),
-        );
+        let out = scenario::run(&RunSpec {
+            telemetry: telemetry.clone(),
+            ..RunSpec::new(params, scheme, &specs, SimTime::from_secs(120), seed)
+        })
+        .expect("single-shard spec");
         let fcts: Vec<f64> = out
             .flows
             .iter()
@@ -133,14 +118,8 @@ pub fn run(opts: &Opts) -> Report {
                 })
                 .collect()
         };
-        let ecmp = split(run_scheme_with(
-            &schemes::ecmp(),
-            bytes,
-            seed,
-            telemetry(),
-            opts,
-        ));
-        let bender = split(run_scheme_with(
+        let ecmp = split(run_scheme(&schemes::ecmp(), bytes, seed, telemetry(), opts));
+        let bender = split(run_scheme(
             &schemes::flowbender(flowbender::Config::default()),
             bytes,
             seed,
@@ -195,12 +174,14 @@ mod tests {
     #[test]
     fn shrunken_table1_shows_the_shape() {
         let bytes = 2_000_000;
-        let ecmp = run_scheme(&schemes::ecmp(), bytes, 3);
-        let fb = run_scheme(
-            &schemes::flowbender(flowbender::Config::default()),
-            bytes,
-            3,
-        );
+        let cells = |scheme: &SchemeSpec| -> Vec<Cell> {
+            run_scheme(scheme, bytes, 3, TelemetryConfig::off(), &Opts::default())
+                .into_iter()
+                .map(|(cell, _)| cell)
+                .collect()
+        };
+        let ecmp = cells(&schemes::ecmp());
+        let fb = cells(&schemes::flowbender(flowbender::Config::default()));
         for (e, b) in ecmp.iter().zip(&fb) {
             assert_eq!(e.completed as u32, e.flows);
             assert_eq!(b.completed as u32, b.flows);

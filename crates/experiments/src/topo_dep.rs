@@ -15,7 +15,7 @@ use topology::FatTreeParams;
 use workloads::{all_to_all, FlowSizeDist};
 
 use crate::report::{Opts, Report};
-use crate::scenario::{parallel_map, run_fat_tree, Window};
+use crate::scenario::{self, parallel_map, RunSpec, Window};
 use crate::schemes;
 
 /// Mean FCT of one (fabric, scheme) run.
@@ -54,7 +54,8 @@ pub fn sweep(opts: &Opts) -> Vec<Cell> {
     parallel_map(jobs, |(label, params, scheme)| {
         let mut rng = netsim::DetRng::new(opts.seed, 0x70D ^ params.n_hosts() as u64);
         let specs = all_to_all(&params, 0.4, duration, &dist, &mut rng);
-        let out = run_fat_tree(params, &scheme, &specs, window.drain_until, opts.seed);
+        let spec = RunSpec::new(params, &scheme, &specs, window.drain_until, opts.seed);
+        let out = scenario::run(&spec).expect("single-shard spec");
         let s = samples(&out.flows, window.start, window.end);
         let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();
         Cell {

@@ -6,13 +6,13 @@
 //! seeds. Whatever the plan does to the fabric, every injected packet —
 //! replicas included — must end up delivered, dropped with a recorded
 //! reason, or still in flight at the cutoff; nothing leaks, nothing is
-//! double-counted. (`run_fat_tree_faults` additionally asserts the same
+//! double-counted. (`experiments::run` additionally asserts the same
 //! audit internally before returning, so a violation fails twice over.)
 
-use experiments::run_fat_tree_faults;
 use experiments::schemes::{self, SchemeSpec};
-use netsim::{DetRng, FaultPlan, FlowSpec, SimTime, TelemetryConfig};
-use topology::FatTreeParams;
+use experiments::{run, RunSpec};
+use netsim::{DetRng, FaultPlan, FlowSpec, SimTime};
+use topology::{FatTree, FatTreeParams};
 
 const SEEDS: u64 = 3;
 
@@ -27,23 +27,20 @@ fn chaos_run(scheme: &SchemeSpec, seed: u64) -> experiments::RunOutput {
             FlowSpec::tcp(i, i, 8 + i, bytes, SimTime::ZERO)
         })
         .collect();
-    run_fat_tree_faults(
-        params,
-        scheme,
-        &specs,
-        SimTime::from_secs(10),
-        seed,
-        TelemetryConfig::off(),
-        |ft| {
-            // Every agg->core uplink in the fabric is fair game: tiny has
-            // 4 aggs x 2 core uplinks each.
-            let links: Vec<_> = (0..4)
-                .flat_map(|a| (0..2).map(move |k| ft.agg_core_link(a, k)))
-                .collect();
-            let mut rng = DetRng::new(seed, 0x4E57);
-            FaultPlan::randomized(&mut rng, &links, SimTime::from_ms(50), 0.15)
-        },
-    )
+    let faults = |ft: &FatTree| {
+        // Every agg->core uplink in the fabric is fair game: tiny has
+        // 4 aggs x 2 core uplinks each.
+        let links: Vec<_> = (0..4)
+            .flat_map(|a| (0..2).map(move |k| ft.agg_core_link(a, k)))
+            .collect();
+        let mut rng = DetRng::new(seed, 0x4E57);
+        FaultPlan::randomized(&mut rng, &links, SimTime::from_ms(50), 0.15)
+    };
+    run(&RunSpec {
+        faults: Some(&faults),
+        ..RunSpec::new(params, scheme, &specs, SimTime::from_secs(10), seed)
+    })
+    .unwrap()
 }
 
 #[test]

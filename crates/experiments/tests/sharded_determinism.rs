@@ -13,8 +13,8 @@
 //! tier, with DeTail exercising cross-shard PFC pause/resume handoffs.
 
 use experiments::report::{Opts, RunSummary};
-use experiments::{run_fat_tree_sharded, schemes};
-use netsim::{DetRng, FlowSpec, SimTime};
+use experiments::{run, schemes, timeline_json, RunOutput, RunSpec, SchemeSpec, TraceSel};
+use netsim::{DetRng, FlowSpec, SimTime, TelemetryConfig};
 use topology::FatTreeParams;
 use workloads::{FlowSizeDist, PoissonStream};
 
@@ -36,6 +36,19 @@ fn traffic(params: &FatTreeParams) -> Vec<FlowSpec> {
     .collect()
 }
 
+fn run_sharded(
+    params: FatTreeParams,
+    scheme: &SchemeSpec,
+    specs: &[FlowSpec],
+    until: SimTime,
+    shards: usize,
+) -> Result<RunOutput, String> {
+    run(&RunSpec {
+        shards,
+        ..RunSpec::new(params, scheme, specs, until, SEED)
+    })
+}
+
 fn summary_json(out: &experiments::RunOutput, scheme: &str) -> String {
     let opts = Opts {
         seed: SEED,
@@ -54,8 +67,8 @@ fn every_scheme_is_byte_identical_across_shard_counts() {
     let until = SimTime::from_ms(30);
 
     for scheme in schemes::registry() {
-        let base = run_fat_tree_sharded(params, &scheme, &specs, until, SEED, 1)
-            .expect("1 shard always partitions");
+        let base =
+            run_sharded(params, &scheme, &specs, until, 1).expect("1 shard always partitions");
         assert!(
             base.shard_stats.is_none(),
             "--shards 1 must be the classic engine"
@@ -63,7 +76,7 @@ fn every_scheme_is_byte_identical_across_shard_counts() {
         let base_json = summary_json(&base, scheme.name());
 
         for shards in [2usize, 4, 8] {
-            let out = run_fat_tree_sharded(params, &scheme, &specs, until, SEED, shards)
+            let out = run_sharded(params, &scheme, &specs, until, shards)
                 .unwrap_or_else(|e| panic!("{shards} shards on k=8: {e}"));
 
             // Cross-shard ledger at quiesce: the runner asserted
@@ -108,8 +121,8 @@ fn repeated_invocations_are_byte_stable() {
     let specs = traffic(&params);
     let until = SimTime::from_ms(30);
     let scheme = schemes::flowbender(flowbender::Config::default());
-    let a = run_fat_tree_sharded(params, &scheme, &specs, until, SEED, 4).unwrap();
-    let b = run_fat_tree_sharded(params, &scheme, &specs, until, SEED, 4).unwrap();
+    let a = run_sharded(params, &scheme, &specs, until, 4).unwrap();
+    let b = run_sharded(params, &scheme, &specs, until, 4).unwrap();
     assert_eq!(
         summary_json(&a, scheme.name()),
         summary_json(&b, scheme.name())
@@ -124,10 +137,75 @@ fn shard_plan_errors_are_actionable() {
     let specs = traffic(&params);
     let until = SimTime::from_ms(1);
     let scheme = schemes::ecmp();
-    let err = run_fat_tree_sharded(params, &scheme, &specs, until, SEED, 0).unwrap_err();
+    let err = run_sharded(params, &scheme, &specs, until, 0).unwrap_err();
     assert!(err.contains("--shards 1"), "{err}");
-    let err = run_fat_tree_sharded(params, &scheme, &specs, until, SEED, 3).unwrap_err();
+    let err = run_sharded(params, &scheme, &specs, until, 3).unwrap_err();
     assert!(err.contains("valid shard counts"), "{err}");
-    let err = run_fat_tree_sharded(params, &scheme, &specs, until, SEED, 999).unwrap_err();
+    let err = run_sharded(params, &scheme, &specs, until, 999).unwrap_err();
     assert!(err.contains("128 hosts"), "{err}");
+}
+
+#[test]
+fn traced_runs_are_identical_across_shard_counts() {
+    // The flight recorder rides every shard: each worker records the
+    // events of its own nodes and hosts, and the merged timelines must
+    // equal the single-shard recording. Tracing stays read-only at every
+    // shard count: a traced run processes exactly the untraced events.
+    let params = fabric();
+    let specs = traffic(&params);
+    let until = SimTime::from_ms(30);
+    let scheme = schemes::flowbender(flowbender::Config::default());
+    let traced_flows: Vec<netsim::FlowId> = (0..8).collect();
+    let mut timelines = Vec::new();
+    for shards in [1usize, 2] {
+        let plain = run_sharded(params, &scheme, &specs, until, shards).unwrap();
+        let traced = run(&RunSpec {
+            shards,
+            trace: TraceSel::Flows(traced_flows.clone()),
+            ..RunSpec::new(params, &scheme, &specs, until, SEED)
+        })
+        .unwrap();
+        assert_eq!(
+            traced.events, plain.events,
+            "{shards} shards: tracing perturbed the run"
+        );
+        assert!(plain.timelines().is_empty());
+        assert_eq!(traced.timelines().len(), traced_flows.len());
+        assert!(
+            traced.timelines().iter().any(|t| t.count_kind("hop") > 0),
+            "{shards} shards: hops recorded"
+        );
+        let json: Vec<String> = traced
+            .timelines()
+            .iter()
+            .map(|t| timeline_json("det", "cell", t).to_string())
+            .collect();
+        timelines.push(json);
+    }
+    assert_eq!(
+        timelines[0], timelines[1],
+        "2-shard timelines diverged from 1 shard"
+    );
+}
+
+#[test]
+fn multi_shard_telemetry_is_an_error() {
+    // Per-shard series would merge in a different order than one shard
+    // records them, so a sharded spec asking for telemetry is refused
+    // rather than silently dropped.
+    let params = fabric();
+    let specs = traffic(&params);
+    let until = SimTime::from_ms(1);
+    let scheme = schemes::ecmp();
+    let spec = |shards| RunSpec {
+        shards,
+        telemetry: TelemetryConfig::all(SimTime::from_us(100)),
+        ..RunSpec::new(params, &scheme, &specs, until, SEED)
+    };
+    let err = run(&spec(2)).unwrap_err();
+    assert!(
+        err.contains("telemetry") && err.contains("--shards 1"),
+        "{err}"
+    );
+    assert!(run(&spec(1)).is_ok(), "one shard collects telemetry");
 }

@@ -12,12 +12,12 @@
 //!
 //! Traffic is a seeded Poisson all-to-all on a k=8 fat-tree — tie-free
 //! arrivals, the precondition for cross-shard byte-identity (see
-//! `run_fat_tree_sharded_faults`).
+//! `experiments::run`).
 
 use experiments::report::{Opts, RunSummary};
-use experiments::{run_fat_tree_sharded_faults, schemes};
+use experiments::{run, schemes, RunSpec};
 use netsim::{DetRng, FaultPlan, FlowSpec, SimTime, SloConfig};
-use topology::FatTreeParams;
+use topology::{FatTree, FatTreeParams};
 use workloads::{FlowSizeDist, PoissonStream};
 
 const SEED: u64 = 3;
@@ -62,7 +62,7 @@ fn randomized_fault_plans_are_byte_identical_across_shard_counts() {
 
     for scheme in schemes::registry() {
         let run = |shards: usize| {
-            run_fat_tree_sharded_faults(params, &scheme, &specs, until, SEED, shards, None, |ft| {
+            let faults = |ft: &FatTree| {
                 // Pod 0's aggs towards their first two cores each:
                 // every one of these links crosses a shard boundary at
                 // some tested shard count, so the randomized flap/gray
@@ -72,6 +72,11 @@ fn randomized_fault_plans_are_byte_identical_across_shard_counts() {
                     .collect();
                 let mut rng = DetRng::new(SEED, 0xC4A05);
                 FaultPlan::randomized(&mut rng, &links, SimTime::from_ms(20), 0.10)
+            };
+            run(&RunSpec {
+                shards,
+                faults: Some(&faults),
+                ..RunSpec::new(params, &scheme, &specs, until, SEED)
             })
             .unwrap_or_else(|e| panic!("{shards} shards on k=8: {e}"))
         };
@@ -114,26 +119,23 @@ fn core_crash_with_slo_probe_is_byte_identical_up_to_eight_shards() {
     let scheme = schemes::flowbender(flowbender::Config::default());
 
     let run = |shards: usize| {
-        run_fat_tree_sharded_faults(
-            params,
-            &scheme,
-            &specs,
-            until,
-            SEED,
+        let faults = |ft: &FatTree| {
+            // Core 1 serves every pod; at 2+ shards its crash compiles
+            // on its owner and fans directed faults out to aggs in
+            // other shards through the mailbox. A flap on a pod-0
+            // uplink rides along so link- and switch-scale faults mix.
+            let (agg0, up0) = ft.agg_core_link(0, 0);
+            let mut plan = FaultPlan::new();
+            plan.switch_outage(ft.cores[1], fail_at, SimTime::from_us(400));
+            plan.flap(agg0, up0, SimTime::from_us(150), SimTime::from_us(300));
+            plan
+        };
+        run(&RunSpec {
             shards,
-            Some(slo),
-            |ft| {
-                // Core 1 serves every pod; at 2+ shards its crash compiles
-                // on its owner and fans directed faults out to aggs in
-                // other shards through the mailbox. A flap on a pod-0
-                // uplink rides along so link- and switch-scale faults mix.
-                let (agg0, up0) = ft.agg_core_link(0, 0);
-                let mut plan = FaultPlan::new();
-                plan.switch_outage(ft.cores[1], fail_at, SimTime::from_us(400));
-                plan.flap(agg0, up0, SimTime::from_us(150), SimTime::from_us(300));
-                plan
-            },
-        )
+            faults: Some(&faults),
+            slo: Some(slo),
+            ..RunSpec::new(params, &scheme, &specs, until, SEED)
+        })
         .unwrap_or_else(|e| panic!("{shards} shards on k=8: {e}"))
     };
 

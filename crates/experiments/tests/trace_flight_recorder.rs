@@ -4,9 +4,10 @@
 //! and the gray-failure experiment must attach decision-bearing
 //! timelines when `--trace` is on.
 
-use experiments::gray_failure::{run, run_scheme, run_scheme_traced};
-use experiments::{slowest_flows, timeline_json, Opts, RunSummary, SchemeSpec, TraceSel};
-use netsim::TraceConfig;
+use experiments::gray_failure::{run, run_scheme, GrayResult};
+use experiments::{
+    slowest_flows, timeline_json, Opts, RunOutput, RunSummary, SchemeSpec, TraceSel,
+};
 
 const BYTES: u64 = 3_000_000;
 const LOSS: f64 = 0.02;
@@ -16,12 +17,15 @@ fn fb() -> SchemeSpec {
     experiments::schemes::flowbender(flowbender::Config::default())
 }
 
+fn gray_run(scheme: &SchemeSpec, trace: TraceSel) -> (GrayResult, RunOutput) {
+    run_scheme(scheme, LOSS, BYTES, SEED, 1, trace).unwrap()
+}
+
 #[test]
 fn traced_run_leaves_normal_outputs_byte_identical() {
     let scheme = fb();
-    let (r_plain, plain) = run_scheme(&scheme, LOSS, BYTES, SEED);
-    let cfg = TraceConfig::flows((0..16).collect());
-    let (r_traced, traced) = run_scheme_traced(&scheme, LOSS, BYTES, SEED, cfg);
+    let (r_plain, plain) = gray_run(&scheme, TraceSel::Off);
+    let (r_traced, traced) = gray_run(&scheme, TraceSel::Flows((0..16).collect()));
 
     // The pinned machine-readable summary — counters, FCT percentiles,
     // drop audit, event count — must not move by a byte.
@@ -57,17 +61,17 @@ fn traced_run_leaves_normal_outputs_byte_identical() {
 #[test]
 fn timeline_json_is_deterministic_across_runs_and_scheme_order() {
     let scheme = fb();
-    let (_, probe) = run_scheme(&scheme, LOSS, BYTES, SEED);
+    let (_, probe) = gray_run(&scheme, TraceSel::Off);
     let ids = slowest_flows(&probe, 2);
     assert_eq!(ids.len(), 2);
-    let cfg = TraceConfig::flows(ids);
+    let sel = TraceSel::Flows(ids);
 
-    let (_, first) = run_scheme_traced(&scheme, LOSS, BYTES, SEED, cfg.clone());
+    let (_, first) = gray_run(&scheme, sel.clone());
     // Interleave an unrelated ECMP run: every run is an independent
     // simulation, so what else ran (and in what order) must not leak
     // into the timelines.
-    let _ = run_scheme(&experiments::schemes::ecmp(), LOSS, BYTES, SEED);
-    let (_, second) = run_scheme_traced(&scheme, LOSS, BYTES, SEED, cfg);
+    let _ = gray_run(&experiments::schemes::ecmp(), TraceSel::Off);
+    let (_, second) = gray_run(&scheme, sel);
 
     let ser = |out: &experiments::RunOutput| -> Vec<String> {
         out.timelines()
@@ -85,44 +89,49 @@ fn timeline_json_is_deterministic_across_runs_and_scheme_order() {
 
 #[test]
 fn gray_failure_report_attaches_timelines_when_traced() {
-    let opts = Opts {
-        scale: 0.05,
-        seed: 7,
-        trace: TraceSel::Slowest(1),
-        ..Opts::default()
-    };
-    let rep = run(&opts);
-    // One traced flow per (scheme, loss) cell: 4 loss rates x 2 schemes.
-    assert_eq!(rep.traces.len(), 8, "one timeline per cell");
-    let decisions: usize = rep
-        .traces
-        .iter()
-        .filter(|(label, _)| label.starts_with("flowbender"))
-        .map(|(_, t)| t.count_kind("decision"))
-        .sum();
-    assert!(
-        decisions > 0,
-        "the traced slowest FlowBender flow recorded at least one reroute decision"
-    );
-    let text = rep.render();
-    assert!(text.contains("Flight recorder"), "summary table rendered");
-    // The untraced report at the same options renders identical normal
-    // sections (the flight-recorder table is purely additive).
-    let plain = run(&Opts {
-        trace: TraceSel::Off,
-        ..opts
-    });
-    assert!(plain.traces.is_empty());
-    for ((ta, a), (tb, b)) in plain.sections.iter().zip(rep.sections.iter()) {
-        assert_eq!(ta, tb);
-        assert_eq!(a.render(), b.render(), "section {ta} changed under --trace");
-    }
-    for (ra, rb) in plain.runs.iter().zip(rep.runs.iter()) {
-        assert_eq!(
-            ra.to_json("gray_failure").to_string(),
-            rb.to_json("gray_failure").to_string(),
-            "run summary {} changed under --trace",
-            ra.label
+    // At 2 shards the probe run, the slowest-flow ranking, and the traced
+    // replay all run on the sharded engine.
+    for shards in [1, 2] {
+        let opts = Opts {
+            scale: 0.05,
+            seed: 7,
+            shards,
+            trace: TraceSel::Slowest(1),
+            ..Opts::default()
+        };
+        let rep = run(&opts);
+        // One traced flow per (scheme, loss) cell: 4 loss rates x 2 schemes.
+        assert_eq!(rep.traces.len(), 8, "one timeline per cell");
+        let decisions: usize = rep
+            .traces
+            .iter()
+            .filter(|(label, _)| label.starts_with("flowbender"))
+            .map(|(_, t)| t.count_kind("decision"))
+            .sum();
+        assert!(
+            decisions > 0,
+            "the traced slowest FlowBender flow recorded at least one reroute decision"
         );
+        let text = rep.render();
+        assert!(text.contains("Flight recorder"), "summary table rendered");
+        // The untraced report at the same options renders identical normal
+        // sections (the flight-recorder table is purely additive).
+        let plain = run(&Opts {
+            trace: TraceSel::Off,
+            ..opts
+        });
+        assert!(plain.traces.is_empty());
+        for ((ta, a), (tb, b)) in plain.sections.iter().zip(rep.sections.iter()) {
+            assert_eq!(ta, tb);
+            assert_eq!(a.render(), b.render(), "section {ta} changed under --trace");
+        }
+        for (ra, rb) in plain.runs.iter().zip(rep.runs.iter()) {
+            assert_eq!(
+                ra.to_json("gray_failure").to_string(),
+                rb.to_json("gray_failure").to_string(),
+                "run summary {} changed under --trace",
+                ra.label
+            );
+        }
     }
 }

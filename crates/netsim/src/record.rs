@@ -161,10 +161,11 @@ impl Counter {
         }
     }
 
-    /// Counters that only the switch-assisted feedback layer (INT / CN)
-    /// can move. Report layers omit these when zero so runs with feedback
-    /// disabled keep their historical JSON byte layout.
-    pub fn feedback_only(self) -> bool {
+    /// Counters that report layers omit while zero: the switch-assisted
+    /// feedback layer (INT / CN) and the reordering metric suite. Runs
+    /// that never move them keep the JSON byte layout pinned before those
+    /// layers existed.
+    pub fn omit_while_zero(self) -> bool {
         matches!(
             self,
             Counter::CnSent
@@ -173,17 +174,7 @@ impl Counter {
                 | Counter::IntStamps
                 | Counter::FeedbackLeadPs
                 | Counter::FeedbackLeadSamples
-        )
-    }
-
-    /// Counters added by the reordering metric suite (PR 10). Like
-    /// [`Counter::feedback_only`], report layers omit these when zero so
-    /// historical runs — which never move them — keep their exact JSON
-    /// byte layout.
-    pub fn reordering_metric(self) -> bool {
-        matches!(
-            self,
-            Counter::SpuriousRetransmits
+                | Counter::SpuriousRetransmits
                 | Counter::DsackUndos
                 | Counter::DupBytes
                 | Counter::OooBytesMax
@@ -825,6 +816,19 @@ impl RunResults {
         &self.timelines
     }
 
+    /// Keep only each timeline's `capacity` newest events, counting the
+    /// rest as truncated — exactly what one ring of that capacity would
+    /// have kept. Every shard of a sharded run records into rings of its
+    /// own, so the merged timelines are capped to the configured ring
+    /// capacity to match a single-shard recording.
+    pub fn cap_timelines(&mut self, capacity: usize) {
+        for tl in &mut self.timelines {
+            let excess = tl.events.len().saturating_sub(capacity);
+            tl.events.drain(..excess);
+            tl.truncated += excess as u64;
+        }
+    }
+
     /// Reconvergence / goodput measurements; `None` unless the SLO probe
     /// was armed ([`crate::Simulator::set_slo`]).
     pub fn slo(&self) -> Option<&SloResults> {
@@ -952,6 +956,31 @@ mod tests {
     }
 
     #[test]
+    fn capped_shard_merge_keeps_what_one_ring_would() {
+        // One flow's 6 events at t = 1..=6 us, split across two shards
+        // (odd / even), each recording into a 2-event ring. A single
+        // 2-event ring keeps t = 5, 6 and truncates 4.
+        let ring = |times: &[u64]| {
+            let mut r = Recorder::new();
+            r.flow_started(rec(0));
+            r.set_trace(TraceConfig::flows(vec![0]).with_capacity(2));
+            for &t in times {
+                r.trace_event(SimTime::from_us(t), 0, TraceEvent::FastRetransmitEnter);
+            }
+            r.finish()
+        };
+        let mut merged = ring(&[1, 3, 5]);
+        merged.merge(ring(&[2, 4, 6]));
+        merged.cap_timelines(2);
+        let single = ring(&[1, 2, 3, 4, 5, 6]);
+        let (a, b) = (&merged.timelines()[0], &single.timelines()[0]);
+        let times = |t: &FlowTimeline| t.events.iter().map(|e| e.0).collect::<Vec<_>>();
+        assert_eq!(times(a), times(b));
+        assert_eq!(times(a), vec![SimTime::from_us(5), SimTime::from_us(6)]);
+        assert_eq!(a.truncated, b.truncated);
+    }
+
+    #[test]
     fn slo_probe_records_reconvergence_and_goodput() {
         let mut r = Recorder::new();
         r.flow_started(rec(0)); // starts at 10us
@@ -1035,14 +1064,14 @@ mod tests {
     }
 
     #[test]
-    fn feedback_only_covers_exactly_the_feedback_counters() {
-        let feedback: Vec<_> = Counter::all()
+    fn omit_while_zero_covers_exactly_the_feedback_and_reordering_counters() {
+        let omitted: Vec<_> = Counter::all()
             .iter()
             .copied()
-            .filter(|c| c.feedback_only())
+            .filter(|c| c.omit_while_zero())
             .collect();
         assert_eq!(
-            feedback,
+            omitted,
             vec![
                 Counter::CnSent,
                 Counter::CnDelivered,
@@ -1050,24 +1079,6 @@ mod tests {
                 Counter::IntStamps,
                 Counter::FeedbackLeadPs,
                 Counter::FeedbackLeadSamples,
-            ]
-        );
-        // The legacy counters (everything a feedback-free run can move)
-        // must never be filtered, or existing JSON layouts would change.
-        assert!(!Counter::Reroutes.feedback_only());
-        assert!(!Counter::MarkedAcksRcvd.feedback_only());
-    }
-
-    #[test]
-    fn reordering_metric_covers_exactly_the_new_counters() {
-        let new: Vec<_> = Counter::all()
-            .iter()
-            .copied()
-            .filter(|c| c.reordering_metric())
-            .collect();
-        assert_eq!(
-            new,
-            vec![
                 Counter::SpuriousRetransmits,
                 Counter::DsackUndos,
                 Counter::DupBytes,
@@ -1076,13 +1087,17 @@ mod tests {
                 Counter::FlowcutPinned,
             ]
         );
-        // The two omission predicates must never overlap or cover legacy
-        // counters — each guards its own JSON-layout invariant.
-        for c in Counter::all() {
-            assert!(!(c.feedback_only() && c.reordering_metric()));
+        // The legacy counters (everything a feedback-free, reorder-free
+        // run can move) must never be filtered, or existing JSON layouts
+        // would change.
+        for c in [
+            Counter::Reroutes,
+            Counter::MarkedAcksRcvd,
+            Counter::OooPktsRcvd,
+            Counter::DsacksRcvd,
+        ] {
+            assert!(!c.omit_while_zero(), "{c:?}");
         }
-        assert!(!Counter::OooPktsRcvd.reordering_metric());
-        assert!(!Counter::DsacksRcvd.reordering_metric());
     }
 
     #[test]
