@@ -19,6 +19,8 @@
 //! enforced by the `sharded_determinism` integration test; this
 //! experiment is where it pays off.
 
+use std::time::Instant;
+
 use netsim::{Counter, DetRng, SimTime};
 use stats::{completion_fraction, fmt_secs, samples, BinSpec, FctAccumulator, Table};
 use topology::{FatTreeParams, ShardPlan};
@@ -54,6 +56,8 @@ pub struct FsResult {
     pub events: u64,
     /// What the sharded engine did (`None` when `--shards 1`).
     pub shard_stats: Option<ShardStats>,
+    /// Host time the run took, in seconds (the barrier-wait share's base).
+    pub wall_s: f64,
 }
 
 /// The fabric arity this invocation runs: `--topo k=K` if given, else
@@ -81,6 +85,7 @@ pub fn run_one(opts: &Opts, scheme: &schemes::SchemeSpec) -> (FsResult, RunOutpu
     let stream = PoissonStream::new(&params, LOAD, duration, FlowSizeDist::web_search(), &rng);
     let specs: Vec<netsim::FlowSpec> = stream.collect();
 
+    let start = Instant::now();
     let out = scenario::run(&RunSpec {
         shards: opts.shards,
         ..RunSpec::new(params, scheme, &specs, window.drain_until, opts.seed)
@@ -114,6 +119,7 @@ pub fn run_one(opts: &Opts, scheme: &schemes::SchemeSpec) -> (FsResult, RunOutpu
         ooo_frac: out.get(Counter::OooPktsRcvd) as f64 / data as f64,
         events: out.events,
         shard_stats: out.shard_stats,
+        wall_s: start.elapsed().as_secs_f64(),
     };
     (digest, out)
 }
@@ -180,7 +186,13 @@ pub fn run(opts: &Opts) -> Report {
         table,
     );
     if let Some(ss) = results.iter().find_map(|r| r.shard_stats) {
-        let mut st = Table::new(vec!["shards", "epochs", "handoffs", "lookahead"]);
+        let mut st = Table::new(vec![
+            "shards",
+            "epochs",
+            "handoffs",
+            "lookahead",
+            "barrier wait",
+        ]);
         for r in &results {
             let s = r.shard_stats.expect("all runs share one shard count");
             st.row(vec![
@@ -188,6 +200,7 @@ pub fn run(opts: &Opts) -> Report {
                 s.rounds.to_string(),
                 s.handoffs.to_string(),
                 fmt_secs(s.lookahead_ps as f64 * 1e-12),
+                format!("{:.0}%", 100.0 * s.wait_s / (s.shards as f64 * r.wall_s)),
             ]);
         }
         report.section(
@@ -201,7 +214,9 @@ pub fn run(opts: &Opts) -> Report {
         report.note(
             "every cross-shard packet handoff is ledgered; exported == imported \
              is asserted at quiesce, and results are byte-identical across shard \
-             counts (see the sharded_determinism test)",
+             counts (see the sharded_determinism test); barrier wait is the \
+             workers' host time at the epoch barrier as a share of shards × run \
+             time, a wall-clock figure kept out of the JSON",
         );
     }
     report.note(

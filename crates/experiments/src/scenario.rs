@@ -10,8 +10,9 @@
 //! over a bounded worker pool.
 
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use netsim::{
     FaultPlan, FlowId, FlowSpec, Handoff, PortStats, Proto, RunResults, SimTime, Simulator,
@@ -60,6 +61,10 @@ pub struct ShardStats {
     pub rounds: u64,
     /// The conservative lookahead every epoch granted, in picoseconds.
     pub lookahead_ps: u64,
+    /// Host time workers spent waiting at the epoch barrier, summed over
+    /// workers, in seconds. Wall-clock, so it varies run to run: reports
+    /// print it, JSON never carries it.
+    pub wait_s: f64,
 }
 
 impl Deref for RunOutput {
@@ -387,8 +392,8 @@ pub fn run_fat_tree_sharded(
     })
 }
 
-/// Worker `me` of a sharded run: its partition and the shared coordinator.
-type Shard<'a> = (&'a ShardPlan, &'a ShardCoord, usize);
+/// Worker `me` of a sharded run: its partition and its coordinator port.
+type Shard<'a, 'c> = (&'a ShardPlan, &'a mut ShardPort<'c, Handoff>);
 
 /// One engine instance. Without `shard` it owns the whole topology and
 /// runs straight to `spec.until`; with one it claims its partition and
@@ -408,8 +413,8 @@ fn simulate(
     let watch: Vec<_> = match &spec.topo {
         Topo::FatTree(params) => {
             let ft = build_fat_tree(&mut sim, *params, spec.scheme.switch_config());
-            if let Some((plan, _, me)) = shard {
-                sim.set_owned(plan.owned_mask(me));
+            if let Some((plan, port)) = &shard {
+                sim.set_owned(plan.owned_mask(port.me));
             }
             if let Some(faults) = spec.faults {
                 sim.install_faults(&faults(&ft));
@@ -427,42 +432,49 @@ fn simulate(
                 .collect()
         }
     };
-    let Some((plan, coord, me)) = shard else {
+    let Some((plan, port)) = shard else {
         install_agents(&mut sim, flows, &spec.scheme.tcp_config());
         sim.run_until(spec.until);
         return RunOutput::from_sim(sim, &watch);
     };
-    // Round 0: cross-shard fault directions cross the mailbox before any
-    // traffic exists, so their event seqs sit below every flow event —
-    // the single-shard install order.
-    coord.post(me, sim.take_outbox(), plan);
-    for h in coord.collect(me) {
-        sim.import(h);
-    }
-    install_agents_on(&mut sim, flows, &spec.scheme.tcp_config(), |h| {
-        plan.owner_of(h) == me
-    });
     let lookahead = sim
         .lookahead()
         .expect("a multi-shard plan must produce cross-shard links");
-    coord
+    port.coord
         .lookahead
-        .fetch_min(lookahead.as_ps(), Ordering::SeqCst);
-    let until_ps = spec.until.as_ps();
+        .fetch_min(lookahead.as_ps(), Ordering::Relaxed);
+    let route = |outbox: Vec<Handoff>| outbox.into_iter().map(|h| (plan.owner_of(h.node()), h));
+    // Round 0: cross-shard fault directions cross the mailbox before any
+    // traffic exists, so their event seqs sit below every flow event —
+    // the single-shard install order. Its window is ignored.
+    for h in port.exchange(route(sim.take_outbox()), None).0 {
+        sim.import(h);
+    }
+    install_agents_on(&mut sim, flows, &spec.scheme.tcp_config(), |h| {
+        plan.owner_of(h) == port.me
+    });
+    let mut outbox = Vec::new();
     loop {
-        let next = sim.next_event_time().map_or(u64::MAX, |t| t.as_ps());
-        let Some(deadline) = coord.agree(next, until_ps) else {
-            break;
-        };
-        sim.run_window(deadline);
-        coord.post(me, sim.take_outbox(), plan);
-        for h in coord.collect(me) {
+        // Every handoff lands on some shard, so the minimum over shards of
+        // (local next event, outgoing arrivals) is the global next event.
+        let next = sim
+            .next_event_time()
+            .into_iter()
+            .chain(outbox.iter().map(Handoff::at))
+            .min();
+        let (inbox, window) = port.exchange(route(outbox), next);
+        for h in inbox {
             sim.import(h);
         }
         // Every epoch keeps the books balanced, not just the quiesced end
         // state — a fault that leaks or double counts a packet is caught
         // in the epoch it happens.
         sim.assert_conservation();
+        let Some(deadline) = window else {
+            break;
+        };
+        sim.run_window(deadline);
+        outbox = sim.take_outbox();
     }
     RunOutput::from_sim(sim, &[])
 }
@@ -478,19 +490,8 @@ fn run_sharded(
     plan: &ShardPlan,
 ) -> RunOutput {
     let shards = plan.shards();
-    let coord = ShardCoord::new(shards);
-    let workers: Vec<RunOutput> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|me| {
-                let coord = &coord;
-                scope.spawn(move || simulate(spec, trace, flows, Some((plan, coord, me))))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    });
+    let coord = ShardCoord::new(shards, spec.until);
+    let workers = coord.run(|port| simulate(spec, trace, flows, Some((plan, port))));
 
     let mut it = workers.into_iter();
     let mut out = it.next().expect("at least one shard");
@@ -523,109 +524,264 @@ fn run_sharded(
     out.shard_stats = Some(ShardStats {
         shards,
         handoffs: exported,
-        rounds: coord.rounds.load(Ordering::Relaxed),
+        // Round 0, the fault exchange, runs no window.
+        rounds: coord.exchanges.load(Ordering::Relaxed) - 1,
         lookahead_ps: coord.lookahead.load(Ordering::Relaxed),
+        wait_s: coord.wait_ns.load(Ordering::Relaxed) as f64 * 1e-9,
     });
     out
 }
 
-/// The synchronization state shared by all workers of one sharded run.
+/// The synchronization state shared by all workers of one sharded run,
+/// generic over the message type `M` so tests can drive it without a
+/// fabric.
 ///
-/// The engine is a conservative barrier-epoch parallel DES. Each epoch:
+/// The engine is a conservative barrier-epoch parallel DES, with one
+/// barrier per epoch. Each epoch, every shard (through its [`ShardPort`]):
 ///
-/// 1. every shard publishes its next pending event time (`fetch_min` into
-///    `round_min`) and hits barrier A;
-/// 2. the barrier leader computes the global minimum `M` and opens the
-///    window `[M, min(M + L - 1, until)]`, where `L` is the lookahead —
-///    the minimum latency any message needs to *cross* a shard boundary;
-///    barrier B publishes it;
-/// 3. every shard runs its local events inside the window. Any message a
-///    shard generates for another lands at `>= t + L >= M + L`, i.e.
-///    strictly after the window, so nothing processed this epoch could
-///    have been affected by a message still in transit;
-/// 4. outboxes are posted into per-destination mailboxes, barrier C, and
-///    each shard imports its mail sorted by source shard — a fixed merge
+/// 1. posts its outbox into `mail[parity][dst][me]` and stores its next
+///    event time in `next[parity][me]` — the minimum of its next local
+///    event and the arrival times of what it just posted (every handoff
+///    lands on some shard, so the minimum over all slots is the global
+///    next event `M`);
+/// 2. waits at the barrier;
+/// 3. computes the same `M` and the same inclusive window
+///    `[M, min(M + L - 1, until)]` as every other shard, with no leader.
+///    `L` is the lookahead — the minimum latency any message needs to
+///    *cross* a shard boundary — so a message generated at `t >= M`
+///    arrives at `>= M + L`, strictly after the window;
+/// 4. drains `mail[parity][me]` in source-shard order — a fixed merge
 ///    order, so event seq numbers (the tie-breakers) are reproducible
-///    regardless of thread scheduling.
+///    regardless of thread scheduling — imports it, and runs the window.
 ///
-/// The run ends when the global minimum is beyond `until` (or no events
-/// remain anywhere).
-struct ShardCoord {
-    barrier: Barrier,
-    /// `fetch_min` target for the epoch's next-event agreement.
-    round_min: AtomicU64,
-    /// Global lookahead `L` in ps (`fetch_min` over shards before epoch 0).
+/// Epochs alternate parity, so a slot read after epoch `e`'s barrier is
+/// rewritten only after epoch `e + 1`'s barrier, which its reader must
+/// reach first: nothing needs resetting. The run ends when `M` is beyond
+/// `until` (or no events remain anywhere).
+struct ShardCoord<M> {
+    shards: usize,
+    until_ps: u64,
+    barrier: EpochBarrier,
+    /// Global lookahead `L` in ps (`fetch_min` over shards before round 0).
     lookahead: AtomicU64,
-    /// The agreed window deadline (inclusive, ps); `u64::MAX` = done.
-    window: AtomicU64,
-    rounds: AtomicU64,
-    /// `mailboxes[dst]` collects `(src, messages)` posted this epoch.
-    mailboxes: Vec<Mailbox>,
+    /// `next[parity][shard]`: next event time in ps, `u64::MAX` = none.
+    next: [Vec<AtomicU64>; 2],
+    /// `mail[parity][dst * shards + src]`: messages `src` posted for `dst`.
+    mail: [Vec<Mutex<Vec<M>>>; 2],
+    /// Exchanges each worker made, round 0 included.
+    exchanges: AtomicU64,
+    /// Host time spent in the barrier, summed over workers.
+    wait_ns: AtomicU64,
 }
 
-/// One shard's incoming mail for the epoch: `(source shard, messages)`.
-type Mailbox = Mutex<Vec<(usize, Vec<Handoff>)>>;
-
-const DONE: u64 = u64::MAX;
-
-impl ShardCoord {
-    fn new(shards: usize) -> Self {
+impl<M: Send> ShardCoord<M> {
+    fn new(shards: usize, until: SimTime) -> Self {
+        let slots = |n: usize| (0..n).map(|_| Mutex::new(Vec::new())).collect();
+        let next = || (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect();
         ShardCoord {
-            barrier: Barrier::new(shards),
-            round_min: AtomicU64::new(u64::MAX),
+            shards,
+            until_ps: until.as_ps(),
+            barrier: EpochBarrier::new(shards),
             lookahead: AtomicU64::new(u64::MAX),
-            window: AtomicU64::new(DONE),
-            rounds: AtomicU64::new(0),
-            mailboxes: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            next: [next(), next()],
+            mail: [slots(shards * shards), slots(shards * shards)],
+            exchanges: AtomicU64::new(0),
+            wait_ns: AtomicU64::new(0),
         }
     }
 
-    /// Publish this shard's next event time and agree on the epoch window.
-    /// Returns the inclusive deadline to run, or `None` when the run is
-    /// over everywhere.
-    fn agree(&self, next_ps: u64, until_ps: u64) -> Option<SimTime> {
-        self.round_min.fetch_min(next_ps, Ordering::SeqCst);
-        if self.barrier.wait().is_leader() {
-            let m = self.round_min.swap(u64::MAX, Ordering::SeqCst);
-            let l = self.lookahead.load(Ordering::SeqCst);
-            let w = if m == u64::MAX || m > until_ps {
-                DONE
-            } else {
-                // Process [m, m + l - 1]: messages generated at t >= m
-                // arrive at >= m + l, strictly outside the window.
-                m.saturating_add(l).saturating_sub(1).min(until_ps)
-            };
-            self.window.store(w, Ordering::SeqCst);
-            self.rounds.fetch_add(1, Ordering::Relaxed);
+    /// Run `work` once per shard on scoped threads, each with its own
+    /// port, and return the results in shard order. A worker that panics
+    /// poisons the barrier, so its peers panic too instead of waiting for
+    /// it forever; the original panic is then re-raised naming its shard.
+    fn run<T: Send>(&self, work: impl Fn(&mut ShardPort<M>) -> T + Sync) -> Vec<T> {
+        let joined: Vec<std::thread::Result<T>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.shards)
+                .map(|me| {
+                    let work = &work;
+                    scope.spawn(move || {
+                        work(&mut ShardPort {
+                            coord: self,
+                            me,
+                            epoch: 0,
+                            wait: Duration::ZERO,
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        let failed: Vec<(usize, &str)> = joined
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| Some((i, panic_text(r.as_ref().err()?.as_ref()))))
+            .collect();
+        if let Some((me, msg)) = failed
+            .iter()
+            .find(|(_, msg)| *msg != PEER_PANICKED)
+            .or(failed.first())
+        {
+            panic!("shard {me} panicked: {msg}");
         }
-        self.barrier.wait();
-        let w = self.window.load(Ordering::SeqCst);
-        (w != DONE).then_some(SimTime::from_ps(w))
+        joined.into_iter().flatten().collect()
+    }
+}
+
+/// One worker's handle on the [`ShardCoord`]. Dropping it records the
+/// worker's epoch count and barrier time; dropping it while unwinding
+/// poisons the barrier.
+struct ShardPort<'c, M> {
+    coord: &'c ShardCoord<M>,
+    me: usize,
+    /// Exchanges made so far; its low bit is the current parity.
+    epoch: u64,
+    wait: Duration,
+}
+
+impl<M: Send> ShardPort<'_, M> {
+    /// One epoch boundary: post `outbox` (`(destination shard, message)`
+    /// pairs) and this shard's next event time, cross the barrier, and
+    /// return this shard's mail in source-shard order together with the
+    /// agreed window deadline (`None` when the run is over everywhere).
+    fn exchange(
+        &mut self,
+        outbox: impl IntoIterator<Item = (usize, M)>,
+        next: Option<SimTime>,
+    ) -> (Vec<M>, Option<SimTime>) {
+        let c = self.coord;
+        let (n, me, p) = (c.shards, self.me, (self.epoch & 1) as usize);
+        self.epoch += 1;
+        for (dst, m) in outbox {
+            c.mail[p][dst * n + me].lock().expect(MAIL_POISONED).push(m);
+        }
+        // Relaxed suffices for `next` and `lookahead`: the barrier's
+        // Release arrival and Acquire exit order every store before it
+        // ahead of every load after it.
+        c.next[p][me].store(next.map_or(u64::MAX, SimTime::as_ps), Ordering::Relaxed);
+        let t = Instant::now();
+        c.barrier.wait();
+        self.wait += t.elapsed();
+        let m = c.next[p].iter().map(|x| x.load(Ordering::Relaxed)).min();
+        let window = m.filter(|&m| m != u64::MAX && m <= c.until_ps).map(|m| {
+            // Process [m, m + l - 1]: messages generated at t >= m arrive
+            // at >= m + l, strictly outside the window.
+            let l = c.lookahead.load(Ordering::Relaxed);
+            SimTime::from_ps(m.saturating_add(l).saturating_sub(1).min(c.until_ps))
+        });
+        let mut inbox = Vec::new();
+        for slot in &c.mail[p][me * n..(me + 1) * n] {
+            inbox.append(&mut slot.lock().expect(MAIL_POISONED));
+        }
+        (inbox, window)
+    }
+}
+
+impl<M> Drop for ShardPort<'_, M> {
+    fn drop(&mut self) {
+        let c = self.coord;
+        if std::thread::panicking() {
+            c.barrier.poison();
+        }
+        c.exchanges.fetch_max(self.epoch, Ordering::Relaxed);
+        c.wait_ns
+            .fetch_add(self.wait.as_nanos() as u64, Ordering::Relaxed);
+    }
+}
+
+/// What a worker panics with when a peer's panic poisoned the barrier.
+const PEER_PANICKED: &str = "peer shard panicked";
+
+/// Why a mailbox lock can fail: a worker panicked while holding it.
+const MAIL_POISONED: &str = "a shard panicked while posting mail";
+
+/// Spins before a spinning waiter starts yielding its time slice.
+const SPINS_BEFORE_YIELD: u32 = 1 << 12;
+
+/// A reusable barrier for the workers of one sharded run. An epoch's work
+/// is tens of microseconds, so a futex sleep and wake per epoch costs as
+/// much as the work: while every worker can have a core of its own the
+/// barrier spins (`spin_loop`, then `yield_now`). When workers outnumber
+/// cores a spinner would burn the time slice the last arrival needs, so
+/// it parks on a condvar instead. Once poisoned, every wait panics.
+struct EpochBarrier {
+    shards: usize,
+    spin: bool,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    poisoned: AtomicBool,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl EpochBarrier {
+    fn new(shards: usize) -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        EpochBarrier {
+            shards,
+            spin: shards <= cores,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
     }
 
-    /// Post this shard's outbox into the destination mailboxes, then wait
-    /// for every shard to do the same (barrier C).
-    fn post(&self, from: usize, outbox: Vec<Handoff>, plan: &ShardPlan) {
-        if !outbox.is_empty() {
-            let n = self.mailboxes.len();
-            let mut per: Vec<Vec<Handoff>> = vec![Vec::new(); n];
-            for h in outbox {
-                per[plan.owner_of(h.node())].push(h);
+    /// Block until all `shards` workers have called `wait`. Everything a
+    /// worker wrote before its call is visible to every worker after it.
+    fn wait(&self) {
+        let gen = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.shards {
+            self.arrived.store(0, Ordering::Relaxed);
+            // Parked waiters check under the lock, so they cannot miss this.
+            let parked = (!self.spin).then(|| self.lock());
+            self.generation
+                .store(gen.wrapping_add(1), Ordering::Release);
+            if parked.is_some() {
+                self.wake.notify_all();
             }
-            for (dst, msgs) in per.into_iter().enumerate() {
-                if !msgs.is_empty() {
-                    self.mailboxes[dst].lock().unwrap().push((from, msgs));
+            return;
+        }
+        if self.spin {
+            let mut spins = 0;
+            while self.generation.load(Ordering::Acquire) == gen {
+                self.check_poison();
+                if spins < SPINS_BEFORE_YIELD {
+                    spins += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
                 }
             }
+        } else {
+            let mut guard = self.lock();
+            while self.generation.load(Ordering::Acquire) == gen {
+                self.check_poison();
+                guard = self
+                    .wake
+                    .wait(guard)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
         }
-        self.barrier.wait();
     }
 
-    /// Drain this shard's mailbox in source-shard order.
-    fn collect(&self, me: usize) -> Vec<Handoff> {
-        let mut entries = std::mem::take(&mut *self.mailboxes[me].lock().unwrap());
-        entries.sort_by_key(|&(src, _)| src);
-        entries.into_iter().flat_map(|(_, v)| v).collect()
+    /// Make every current and future `wait` panic.
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::Release);
+        let _guard = self.lock();
+        self.wake.notify_all();
+    }
+
+    fn check_poison(&self) {
+        if self.poisoned.load(Ordering::Acquire) {
+            panic!("{PEER_PANICKED}");
+        }
+    }
+
+    /// The parking lock; a waiter that panicked holding it left nothing
+    /// behind to protect.
+    fn lock(&self) -> MutexGuard<'_, ()> {
+        self.lock.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -657,8 +813,6 @@ where
     F: Fn(I) -> T + Sync,
 {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
 
     let n = inputs.len();
     if n == 0 {
@@ -1120,5 +1274,102 @@ mod tests {
         assert_eq!(w.start, SimTime::from_ms(10));
         assert_eq!(w.end, SimTime::from_ms(100));
         assert_eq!(w.drain_until, SimTime::from_ms(500));
+    }
+
+    /// Drive `shards` workers through `epochs` exchanges in which every
+    /// shard mails every other shard one message tagged `(source, epoch)`,
+    /// then one final exchange with no events anywhere.
+    fn exchange_stress(shards: usize, epochs: u64) {
+        let coord = ShardCoord::new(shards, SimTime::MAX);
+        coord.lookahead.store(5, Ordering::Relaxed);
+        let windows = coord.run(|port| {
+            let me = port.me;
+            let peers = move |live: bool| (0..shards).filter(move |&s| live && s != me);
+            let mut windows = Vec::new();
+            for e in 0..=epochs {
+                let live = e < epochs;
+                // The global minimum 10e rotates over the shards' slots.
+                let next = live.then(|| SimTime::from_ps(10 * e + (me as u64 + e) % shards as u64));
+                let (inbox, window) = port.exchange(peers(live).map(|d| (d, (me, e))), next);
+                let want: Vec<_> = peers(live).map(|s| (s, e)).collect();
+                assert_eq!(inbox, want, "shard {me} at epoch {e}");
+                windows.push(window);
+            }
+            windows
+        });
+        let want: Vec<_> = (0..epochs)
+            .map(|e| Some(SimTime::from_ps(10 * e + 4)))
+            .chain([None])
+            .collect();
+        for (me, w) in windows.iter().enumerate() {
+            assert!(*w == want, "shard {me} disagrees on the windows");
+        }
+        assert_eq!(coord.exchanges.load(Ordering::Relaxed), epochs + 1);
+    }
+
+    #[test]
+    fn exchange_delivers_each_epochs_mail_in_source_order() {
+        // 2 shards spin; 8 shards outnumber the cores of most test hosts
+        // and take the parking path.
+        exchange_stress(2, 10_000);
+        exchange_stress(8, 10_000);
+    }
+
+    /// Run `shards` workers of which shard 1 panics at epoch 100 while the
+    /// rest keep exchanging; return the run's panic message.
+    fn poisoned_run(shards: usize) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let coord = ShardCoord::<()>::new(shards, SimTime::MAX);
+            let run = std::panic::AssertUnwindSafe(|| {
+                coord.run(|port| loop {
+                    if port.me == 1 && port.epoch == 100 {
+                        panic!("shard blew up at epoch 100");
+                    }
+                    port.exchange(std::iter::empty(), Some(SimTime::ZERO));
+                })
+            });
+            let caught = std::panic::catch_unwind(run).expect_err("the run must panic");
+            tx.send(panic_text(caught.as_ref()).to_string()).unwrap();
+        });
+        let msg = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a panicking shard must not hang its peers");
+        runner.join().expect("the runner caught the panic");
+        msg
+    }
+
+    #[test]
+    fn a_panicking_shard_fails_the_run_instead_of_hanging_it() {
+        for shards in [2, 8] {
+            let msg = poisoned_run(shards);
+            assert_eq!(msg, "shard 1 panicked: shard blew up at epoch 100");
+        }
+    }
+
+    /// The coordinator's rewrite changed how shards synchronize, not the
+    /// epoch schedule: a 2-shard k=8 Poisson run keeps the epoch and
+    /// handoff counts of the three-barrier protocol it replaced.
+    #[test]
+    fn two_shard_poisson_run_keeps_its_epoch_schedule() {
+        let params = FatTreeParams::k_ary(8).expect("k=8 is valid");
+        let scheme = schemes::flowbender(fb::Config::default());
+        let rng = netsim::DetRng::new(1, 0xE90C);
+        let specs: Vec<FlowSpec> = workloads::PoissonStream::new(
+            &params,
+            0.3,
+            SimTime::from_ms(1),
+            workloads::FlowSizeDist::web_search(),
+            &rng,
+        )
+        .collect();
+        let out = run(&RunSpec {
+            shards: 2,
+            ..RunSpec::new(params, &scheme, &specs, SimTime::from_ms(10), 1)
+        })
+        .expect("k=8 hosts 2 shards");
+        let ss = out.shard_stats.expect("sharded runs report stats");
+        assert_eq!((ss.rounds, ss.handoffs), (8505, 30728));
+        assert!(ss.wait_s >= 0.0);
     }
 }
