@@ -241,6 +241,26 @@ fn bench_workload_engine(h: &Harness) {
     }
 }
 
+/// Fabric build: `build_fat_tree` on a k=16 fat-tree (1024 hosts, 320
+/// switches) — switches, hosts, links and every switch's routing table,
+/// the setup every run (and every shard worker of a sharded run) pays
+/// before its first event. `elements` is the number of (switch,
+/// destination) routes installed.
+fn bench_topology(h: &Harness) {
+    let params = topology::FatTreeParams::k_ary(16).expect("k=16 is valid");
+    let cfg = SwitchConfig::commodity(HashConfig::FiveTupleAndVField);
+    let build = || {
+        let mut sim = Simulator::new(1);
+        let ft = topology::build_fat_tree(&mut sim, params, cfg);
+        (sim, ft)
+    };
+    let (_, ft) = build();
+    let routes = ((ft.tors.len() + ft.aggs.len() + ft.cores.len()) * ft.hosts.len()) as u64;
+    h.bench("topology/build_fat_tree_k16", routes, || {
+        black_box(build().1.hosts.len())
+    });
+}
+
 /// Sharded-engine scaling: the same fig3-style Poisson all-to-all on a
 /// k=16 fat-tree (1024 hosts), executed by 1, 2, and 4 worker shards.
 /// Every run produces byte-identical results (enforced by the
@@ -348,6 +368,7 @@ fn main() {
     bench_int_stamp(&h);
     bench_flowcut_pin(&h);
     bench_workload_engine(&h);
+    bench_topology(&h);
     bench_sharding(&h);
     bench_chaos(&h);
     bench_sketch(&h);

@@ -197,9 +197,10 @@ struct SwitchMeta {
     cn_limiter: CnLimiter,
 }
 
-// Hosts waste `SwitchMeta`-sized slots, but boxing the variant would put a
-// pointer chase on every packet forward; a few hundred bytes per host is
-// the cheaper side of that trade even on 8192-host fabrics.
+// Hosts waste `SwitchMeta`-sized slots (352 B, of which 96 B are the
+// routing table's four `Vec` headers), but boxing the variant would put a
+// pointer chase on every packet forward; 2.9 MB on an 8192-host fabric is
+// the cheaper side of that trade.
 #[allow(clippy::large_enum_variant)]
 enum NodeKind {
     Host(HostMeta),
@@ -642,6 +643,17 @@ impl Simulator {
     pub fn set_routes(&mut self, switch: NodeId, routes: RoutingTable) {
         match &mut self.nodes[switch as usize].kind {
             NodeKind::Switch(meta) => meta.routes = routes,
+            NodeKind::Host(_) => panic!("node {switch} is a host, not a switch"),
+        }
+    }
+
+    /// The multipath routing table of a switch.
+    ///
+    /// # Panics
+    /// If `switch` is a host.
+    pub fn routes(&self, switch: NodeId) -> &RoutingTable {
+        match &self.nodes[switch as usize].kind {
+            NodeKind::Switch(meta) => &meta.routes,
             NodeKind::Host(_) => panic!("node {switch} is a host, not a switch"),
         }
     }
@@ -1315,8 +1327,9 @@ impl Simulator {
                 unreachable!()
             };
             let ports = &node.ports;
-            let eligible = meta.routes.eligible(pkt.dst());
-            let weights = meta.routes.weights(pkt.dst());
+            let dst = pkt.dst();
+            let (eligible, weights) = meta.routes.route(dst);
+            assert!(!eligible.is_empty(), "switch {sw}: no route to host {dst}");
             let mut flowcut = None;
             let egress = match meta.scheme {
                 ForwardingScheme::Flowlet { gap } => meta.flowlets.select(
@@ -1917,6 +1930,32 @@ mod tests {
         rt.set(h1, vec![1]);
         sim.set_routes(sw, rt);
         (sim, h0, h1, sw)
+    }
+
+    /// A switch whose table does not cover the destination fails with a
+    /// named error, not an index panic — also under flowlet switching,
+    /// whose stateful pick would otherwise run on an empty group.
+    #[test]
+    #[should_panic(expected = "no route to host")]
+    fn unroutable_destination_panics_under_a_flowlet_switch() {
+        let mut sim = Simulator::new(7);
+        let h0 = sim.add_host_default();
+        let h1 = sim.add_host_default();
+        let sw = sim.add_switch(SwitchConfig::flowlet(SimTime::from_us(100)));
+        sim.connect(h0, sw, LinkSpec::host_10g());
+        sim.connect(h1, sw, LinkSpec::host_10g());
+        // No `set_routes`: the switch keeps its empty default table.
+        let received = std::rc::Rc::new(std::cell::Cell::new(0));
+        sim.set_agent(
+            h0,
+            Box::new(Blaster {
+                dst: h1,
+                count: 1,
+                received,
+                echo: false,
+            }),
+        );
+        sim.run_to_quiescence();
     }
 
     #[test]

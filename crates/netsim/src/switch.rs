@@ -136,6 +136,7 @@ impl FlowcutState {
     /// boundary (idle gap exceeded, pinned port unusable, or first
     /// packet) the least-queued live eligible port is chosen, with the
     /// load trigger able to veto a move off an uncongested pinned egress.
+    /// `eligible` must be non-empty.
     #[allow(clippy::too_many_arguments)]
     pub fn select(
         &mut self,
@@ -147,7 +148,6 @@ impl FlowcutState {
         queue_bytes: impl Fn(PortId) -> u64,
         link_up: impl Fn(PortId) -> bool,
     ) -> (PortId, FlowcutDecision) {
-        debug_assert!(!eligible.is_empty());
         match self.table.get_mut(&flow_hash) {
             Some((last, port)) if eligible.contains(port) && link_up(*port) => {
                 let idle = now.saturating_sub(*last);
@@ -216,7 +216,8 @@ impl FlowletState {
 
     /// Pick the egress port for a packet of flow `flow_hash` arriving at
     /// `now`: sticky while the inter-packet gap stays within `gap`,
-    /// re-drawn uniformly at random otherwise.
+    /// re-drawn uniformly at random otherwise. `eligible` must be
+    /// non-empty.
     pub fn select(
         &mut self,
         now: SimTime,
@@ -225,7 +226,6 @@ impl FlowletState {
         eligible: &[PortId],
         rng: &mut DetRng,
     ) -> PortId {
-        debug_assert!(!eligible.is_empty());
         match self.table.get_mut(&flow_hash) {
             Some((last, port)) if now.saturating_sub(*last) <= gap && eligible.contains(port) => {
                 *last = now;
@@ -385,54 +385,152 @@ impl CnLimiter {
         self.next_allowed.is_empty()
     }
 }
+
+/// A switch's multipath routing table: destination host → next-hop group.
+///
+/// Stored the way switch silicon stores it: each destination holds a
+/// small group id, and the group holds the equal-cost egress ports (and,
+/// for WCMP, their weights). A fat-tree switch has a handful of distinct
+/// groups however many hosts the fabric has, so the per-destination cost
+/// is two bytes and the group table stays a few hundred bytes.
+/// [`RoutingTable::set`] and [`RoutingTable::set_weighted`] intern the
+/// group: an equal group is reused, otherwise one is appended. Group
+/// members keep the order the caller gave, which is the order the ECMP
+/// hash indexes into.
 ///
 /// `eligible(dst)` returns the egress ports on which the destination host
 /// is reachable; `weights(dst)` returns matching WCMP weights (empty =
 /// equal cost). Real switches implement WCMP by replicating ECMP table
 /// entries in proportion to the weights — same hash engine, uneven
 /// shares — which is exactly how [`crate::hashing::EcmpHasher`] consumes
-/// them. Tables are dense vectors because host ids are dense (0..n_hosts).
-#[derive(Debug, Clone, Default)]
+/// them. The destination index is dense because host ids are dense
+/// (0..n_hosts).
+#[derive(Debug, Clone)]
 pub struct RoutingTable {
-    per_dst: Vec<Vec<PortId>>,
-    /// Parallel to `per_dst`; empty inner vec = equal weights.
-    per_dst_weights: Vec<Vec<u32>>,
+    /// Destination host → group id; group 0 is the empty group (no route).
+    per_dst: Vec<u16>,
+    /// Group id → the group's spans of `ports` and `weights`.
+    groups: Vec<Group>,
+    /// Members of every group, back to back.
+    ports: Vec<PortId>,
+    /// Weights of every weighted group, back to back.
+    weights: Vec<u32>,
+}
+
+/// One next-hop group: `ports[p0..p1]` with weights `weights[w0..w1]`
+/// (an empty weight span = equal cost).
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    p0: u32,
+    p1: u32,
+    w0: u32,
+    w1: u32,
+}
+
+impl Default for RoutingTable {
+    fn default() -> Self {
+        Self::new(0)
+    }
 }
 
 impl RoutingTable {
     /// Build an empty table for `n_hosts` destinations.
     pub fn new(n_hosts: usize) -> Self {
         RoutingTable {
-            per_dst: vec![Vec::new(); n_hosts],
-            per_dst_weights: vec![Vec::new(); n_hosts],
+            per_dst: vec![0; n_hosts],
+            groups: vec![Group {
+                p0: 0,
+                p1: 0,
+                w0: 0,
+                w1: 0,
+            }],
+            ports: Vec::new(),
+            weights: Vec::new(),
         }
     }
 
     /// Set the eligible egress ports towards `dst` (equal-cost).
-    pub fn set(&mut self, dst: u32, ports: Vec<PortId>) {
-        self.per_dst[dst as usize] = ports;
-        self.per_dst_weights[dst as usize].clear();
+    pub fn set(&mut self, dst: u32, ports: impl AsRef<[PortId]>) {
+        self.per_dst[dst as usize] = self.intern(dst, ports.as_ref(), &[]);
     }
 
     /// Set eligible ports towards `dst` with WCMP weights (§4.3.1's
     /// weighted-cost multipathing). Zero-weight ports are legal (they are
     /// never selected) but at least one weight must be positive.
-    pub fn set_weighted(&mut self, dst: u32, ports: Vec<PortId>, weights: Vec<u32>) {
+    pub fn set_weighted(
+        &mut self,
+        dst: u32,
+        ports: impl AsRef<[PortId]>,
+        weights: impl AsRef<[u32]>,
+    ) {
+        let (ports, weights) = (ports.as_ref(), weights.as_ref());
         assert_eq!(ports.len(), weights.len(), "weights must match ports");
         assert!(weights.iter().any(|&w| w > 0), "all-zero WCMP weights");
-        self.per_dst[dst as usize] = ports;
-        self.per_dst_weights[dst as usize] = weights;
+        self.per_dst[dst as usize] = self.intern(dst, ports, weights);
     }
 
-    /// Eligible egress ports towards `dst`. Empty means unreachable
-    /// (a routing bug — the simulator treats it as a hard error).
+    /// Id of the group `(ports, weights)`, appending it if no equal group
+    /// exists. Builders fill destinations in order and neighbouring hosts
+    /// share routes, so the previous destination's group is tried first.
+    fn intern(&mut self, dst: u32, ports: &[PortId], weights: &[u32]) -> u16 {
+        let is = |g: &Group| {
+            // Lengths first: a slice `==`, even on two empty slices, costs
+            // more than the whole length check.
+            (g.p1 - g.p0) as usize == ports.len()
+                && (g.w1 - g.w0) as usize == weights.len()
+                && self.ports[g.p0 as usize..g.p1 as usize] == *ports
+                && (weights.is_empty() || self.weights[g.w0 as usize..g.w1 as usize] == *weights)
+        };
+        let hint = match dst.checked_sub(1) {
+            Some(prev) => self.per_dst[prev as usize],
+            None => 0,
+        };
+        if is(&self.groups[hint as usize]) {
+            return hint;
+        }
+        if let Some(id) = self.groups.iter().position(is) {
+            return id as u16;
+        }
+        let id = u16::try_from(self.groups.len()).expect("more than 65536 next-hop groups");
+        let g = Group {
+            p0: self.ports.len() as u32,
+            p1: (self.ports.len() + ports.len()) as u32,
+            w0: self.weights.len() as u32,
+            w1: (self.weights.len() + weights.len()) as u32,
+        };
+        self.ports.extend_from_slice(ports);
+        self.weights.extend_from_slice(weights);
+        self.groups.push(g);
+        id
+    }
+
+    /// Eligible egress ports and WCMP weights towards `dst` from one
+    /// lookup. An empty port slice means unreachable (a routing bug — the
+    /// simulator treats it as a hard error); so does a `dst` beyond the
+    /// table. An empty weight slice means equal cost.
+    #[inline]
+    pub fn route(&self, dst: u32) -> (&[PortId], &[u32]) {
+        let g = self.groups[self.per_dst.get(dst as usize).map_or(0, |&g| g as usize)];
+        (
+            &self.ports[g.p0 as usize..g.p1 as usize],
+            &self.weights[g.w0 as usize..g.w1 as usize],
+        )
+    }
+
+    /// Eligible egress ports towards `dst`; empty means unreachable.
     pub fn eligible(&self, dst: u32) -> &[PortId] {
-        &self.per_dst[dst as usize]
+        self.route(dst).0
     }
 
     /// WCMP weights towards `dst`; empty slice = equal cost.
     pub fn weights(&self, dst: u32) -> &[u32] {
-        &self.per_dst_weights[dst as usize]
+        self.route(dst).1
+    }
+
+    /// Number of distinct non-empty next-hop groups interned (groups a
+    /// later `set` orphaned still count).
+    pub fn group_count(&self) -> usize {
+        self.groups.len() - 1
     }
 
     /// Number of destinations this table covers.
@@ -526,7 +624,9 @@ impl PfcState {
     }
 }
 
-/// Pick an egress port for `pkt` among `eligible` according to `scheme`.
+/// Pick an egress port for `pkt` among the non-empty `eligible` set
+/// according to `scheme` (the simulator rejects an empty set once per
+/// packet, before any scheme runs).
 ///
 /// `weights` are WCMP weights parallel to `eligible` (empty = equal cost;
 /// only the hash-based scheme honours them, like real silicon).
@@ -545,7 +645,6 @@ pub fn select_port(
     queue_bytes: impl Fn(PortId) -> u64,
     link_up: impl Fn(PortId) -> bool,
 ) -> PortId {
-    assert!(!eligible.is_empty(), "no route to host {}", pkt.dst());
     if eligible.len() == 1 {
         return eligible[0];
     }

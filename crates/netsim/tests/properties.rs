@@ -3,9 +3,10 @@
 //! so failures reproduce exactly.
 
 use netsim::event::{EventKind, Scheduler};
-use netsim::switch::{PfcAction, PfcConfig, PfcState};
+use netsim::switch::{select_port, PfcAction, PfcConfig, PfcState};
 use netsim::{
-    DetRng, EcmpHasher, EcnQueue, EnqueueResult, FlowKey, HashConfig, Packet, Proto, SimTime,
+    DetRng, EcmpHasher, EcnQueue, EnqueueResult, FlowKey, ForwardingScheme, HashConfig, Packet,
+    PortId, Proto, RoutingTable, SimTime,
 };
 
 fn mk_pkt(seq: u64, payload: u32, sport: u16, v: u8) -> Packet {
@@ -333,6 +334,112 @@ fn rng_exp_nonnegative() {
         for _ in 0..50 {
             let x = rng.gen_exp(mean);
             assert!(x.is_finite() && x >= 0.0, "seed {seed}");
+        }
+    }
+}
+
+/// The interned routing table answers every destination exactly like a
+/// naive per-destination table through random `set`/`set_weighted`
+/// sequences (overwrites, repeated groups, single-port groups, the same
+/// ports with and without weights), and ECMP — plain and weighted — picks
+/// the same port from either.
+#[test]
+fn interned_routing_table_matches_per_destination_reference() {
+    for seed in 0..40u64 {
+        let mut rng = DetRng::new(seed, 0x20);
+        let n_hosts = 1 + rng.gen_index(64);
+        // A small pool, so destinations keep landing on groups already
+        // interned; group 0 of the pool is often a single port.
+        let mut pool: Vec<(Vec<PortId>, Vec<u32>)> = (0..1 + rng.gen_index(6))
+            .map(|_| {
+                let len = 1 + rng.gen_index(8);
+                let ports = (0..len).map(|_| rng.gen_range(16) as PortId).collect();
+                let mut weights: Vec<u32> = (0..len).map(|_| rng.gen_range(4)).collect();
+                weights[rng.gen_index(len)] = 1 + rng.gen_range(9);
+                (ports, weights)
+            })
+            .collect();
+        // A prefix of an existing group (equal first port, different
+        // length), and its ports under different weights.
+        let (p, w) = pool[0].clone();
+        pool.push((p[..1].to_vec(), vec![1.max(w[0])]));
+        pool.push((p, w.iter().map(|x| x + 1).collect()));
+        let mut rt = RoutingTable::new(n_hosts);
+        let mut ref_ports: Vec<Vec<PortId>> = vec![Vec::new(); n_hosts];
+        let mut ref_weights: Vec<Vec<u32>> = vec![Vec::new(); n_hosts];
+        let mut cursor = 0;
+        for _ in 0..rng.gen_index(400) {
+            // Half the writes fill destinations in order, as the builders
+            // do; the rest overwrite random ones.
+            let dst = if rng.gen_range(2) == 0 {
+                cursor = (cursor + 1) % n_hosts;
+                cursor
+            } else {
+                rng.gen_index(n_hosts)
+            };
+            let (ports, weights) = &pool[rng.gen_index(pool.len())];
+            if rng.gen_range(3) == 0 {
+                rt.set_weighted(dst as u32, ports, weights);
+                ref_weights[dst] = weights.clone();
+            } else {
+                rt.set(dst as u32, ports);
+                ref_weights[dst].clear();
+            }
+            ref_ports[dst] = ports.clone();
+        }
+        for dst in 0..n_hosts {
+            assert_eq!(
+                rt.eligible(dst as u32),
+                &ref_ports[dst][..],
+                "seed {seed} dst {dst}"
+            );
+            assert_eq!(
+                rt.weights(dst as u32),
+                &ref_weights[dst][..],
+                "seed {seed} dst {dst}"
+            );
+        }
+        assert!(
+            rt.group_count() <= 2 * pool.len(),
+            "seed {seed}: groups not reused"
+        );
+        assert!(
+            rt.eligible(n_hosts as u32).is_empty(),
+            "beyond the table = no route"
+        );
+
+        let hasher = EcmpHasher::new(HashConfig::FiveTupleAndVField, seed);
+        let pick = |pkt: &Packet, eligible: &[PortId], weights: &[u32]| {
+            let mut unused = DetRng::new(0, 0);
+            let scheme = ForwardingScheme::EcmpHash;
+            select_port(
+                scheme,
+                &hasher,
+                &mut unused,
+                pkt,
+                eligible,
+                weights,
+                |_| 0,
+                |_| true,
+            )
+        };
+        for _ in 0..200 {
+            let dst = rng.gen_index(n_hosts);
+            if ref_ports[dst].is_empty() {
+                continue;
+            }
+            let pkt = mk_pkt(
+                rng.next_u64() % 1_000_000,
+                1_000,
+                rng.next_u32() as u16,
+                rng.gen_range(256) as u8,
+            );
+            let (eligible, weights) = rt.route(dst as u32);
+            assert_eq!(pick(&pkt, eligible, &[]), pick(&pkt, &ref_ports[dst], &[]));
+            assert_eq!(
+                pick(&pkt, eligible, weights),
+                pick(&pkt, &ref_ports[dst], &ref_weights[dst])
+            );
         }
     }
 }

@@ -342,13 +342,9 @@ pub fn degrade_agg_core_link(
             let dst_pod = ft.pod_of(dst);
             if dst_pod == pod {
                 let tor_pos = ft.tor_of(dst) % p.tors_per_pod;
-                rt.set(dst as u32, ft.agg_tor_ports[ai][tor_pos].clone());
+                rt.set(dst as u32, &ft.agg_tor_ports[ai][tor_pos]);
             } else {
-                rt.set_weighted(
-                    dst as u32,
-                    ft.agg_core_ports[ai].clone(),
-                    core_weights.clone(),
-                );
+                rt.set_weighted(dst as u32, &ft.agg_core_ports[ai], &core_weights);
             }
         }
         sim.set_routes(ft.aggs[ai], rt);
@@ -374,12 +370,12 @@ pub fn degrade_agg_core_link(
             .collect();
         for dst in 0..n_hosts {
             if local.contains(&dst) {
-                rt.set(dst as u32, vec![ft.tor_host_ports[ti][dst - local.start]]);
+                rt.set(dst as u32, [ft.tor_host_ports[ti][dst - local.start]]);
             } else if ft.pod_of(dst) == pod {
                 // Intra-pod: all aggs reach the ToR at full rate.
-                rt.set(dst as u32, ft.tor_uplinks[ti].clone());
+                rt.set(dst as u32, &ft.tor_uplinks[ti]);
             } else {
-                rt.set_weighted(dst as u32, ft.tor_uplinks[ti].clone(), up_weights.clone());
+                rt.set_weighted(dst as u32, &ft.tor_uplinks[ti], &up_weights);
             }
         }
         sim.set_routes(ft.tors[ti], rt);
@@ -397,9 +393,9 @@ fn install_routes(sim: &mut Simulator, ft: &FatTree) {
         let local = ft.hosts_of_tor(ti);
         for dst in 0..n_hosts {
             if local.contains(&dst) {
-                rt.set(dst as u32, vec![ft.tor_host_ports[ti][dst - local.start]]);
+                rt.set(dst as u32, [ft.tor_host_ports[ti][dst - local.start]]);
             } else {
-                rt.set(dst as u32, ft.tor_uplinks[ti].clone());
+                rt.set(dst as u32, &ft.tor_uplinks[ti]);
             }
         }
         sim.set_routes(tor, rt);
@@ -413,9 +409,9 @@ fn install_routes(sim: &mut Simulator, ft: &FatTree) {
             let dst_pod = ft.pod_of(dst);
             if dst_pod == pod {
                 let tor_pos = ft.tor_of(dst) % p.tors_per_pod;
-                rt.set(dst as u32, ft.agg_tor_ports[ai][tor_pos].clone());
+                rt.set(dst as u32, &ft.agg_tor_ports[ai][tor_pos]);
             } else {
-                rt.set(dst as u32, ft.agg_core_ports[ai].clone());
+                rt.set(dst as u32, &ft.agg_core_ports[ai]);
             }
         }
         sim.set_routes(agg, rt);
@@ -426,7 +422,7 @@ fn install_routes(sim: &mut Simulator, ft: &FatTree) {
         let mut rt = RoutingTable::new(n_hosts);
         for dst in 0..n_hosts {
             let dst_pod = ft.pod_of(dst);
-            rt.set(dst as u32, vec![ft.core_agg_ports[ci][dst_pod]]);
+            rt.set(dst as u32, [ft.core_agg_ports[ci][dst_pod]]);
         }
         sim.set_routes(core, rt);
     }
@@ -446,6 +442,26 @@ mod tests {
             SwitchConfig::commodity(HashConfig::FiveTupleAndVField),
         );
         (sim, ft)
+    }
+
+    /// Routing state is bounded by construction: every switch of a k-ary
+    /// fabric holds at most `k` next-hop groups whatever its host count
+    /// (k/2 host ports + 1 uplink group at a ToR, k/2 ToR groups + 1
+    /// uplink group at an agg, one port per pod at a core).
+    #[test]
+    fn k_ary_switches_hold_at_most_k_next_hop_groups() {
+        for k in [16, 32] {
+            let (sim, ft) = build(FatTreeParams::k_ary(k).unwrap());
+            for &sw in ft.tors.iter().chain(&ft.aggs).chain(&ft.cores) {
+                let rt = sim.routes(sw);
+                assert_eq!(rt.len(), ft.hosts.len());
+                assert!(
+                    rt.group_count() <= k,
+                    "k={k} switch {sw}: {} groups",
+                    rt.group_count()
+                );
+            }
+        }
     }
 
     #[test]

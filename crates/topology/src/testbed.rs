@@ -190,9 +190,9 @@ fn install_routes(sim: &mut Simulator, tb: &Testbed) {
         let local = tb.hosts_of_tor(t);
         for dst in 0..n_hosts {
             if local.contains(&dst) {
-                rt.set(dst as u32, vec![tb.tor_host_ports[t][dst - local.start]]);
+                rt.set(dst as u32, [tb.tor_host_ports[t][dst - local.start]]);
             } else {
-                rt.set(dst as u32, tb.tor_uplinks[t].clone());
+                rt.set(dst as u32, &tb.tor_uplinks[t]);
             }
         }
         sim.set_routes(tor, rt);
@@ -202,7 +202,7 @@ fn install_routes(sim: &mut Simulator, tb: &Testbed) {
         let mut rt = RoutingTable::new(n_hosts);
         for dst in 0..n_hosts {
             let t = tb.tor_of(dst);
-            rt.set(dst as u32, vec![tb.agg_tor_ports[a][t]]);
+            rt.set(dst as u32, [tb.agg_tor_ports[a][t]]);
         }
         sim.set_routes(agg, rt);
     }
